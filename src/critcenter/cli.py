@@ -22,7 +22,7 @@ from .diffop import (
     miura,
 )
 from .errors import CritCenterError, ValidationError
-from .laurent import LaurentElement
+from .laurent import LaurentElement, scalar_from_str
 from .modules import (
     conductor_irregularity_report,
     root_fn_constant,
@@ -73,8 +73,8 @@ def _root_function(case, n, m, x=None, r=None):
         if x is None:
             point = [Fraction(0)] * n
         else:
-            point = [Fraction(part) for part in str(x).split(",")]
-        depth = Fraction(r) if r is not None else Fraction(m - 1)
+            point = [scalar_from_str(part) for part in str(x).split(",")]
+        depth = scalar_from_str(r) if r is not None else Fraction(m - 1)
         return root_fn_moy_prasad(n, point, depth)
     raise ValidationError(f"unknown case {case!r}; pick one of {CASES}")
 

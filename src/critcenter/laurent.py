@@ -20,6 +20,7 @@ from .errors import (
     UndeterminedCoefficientError,
     UndeterminedResidueError,
     UndeterminedValuationError,
+    ValidationError,
     ZeroDivisorError,
 )
 
@@ -28,7 +29,10 @@ Scalar = Fraction
 
 def scalar_from_str(text):
     """Parse "num/den" (or a bare integer string) into a Fraction."""
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"not a rational number: {text!r}") from exc
 
 
 def scalar_to_str(value):
@@ -327,8 +331,6 @@ class LaurentElement:
 
     @classmethod
     def from_json(cls, data):
-        from .errors import ValidationError
-
         if isinstance(data, list):
             data = {"terms": data}
         if not isinstance(data, dict) or "terms" not in data:

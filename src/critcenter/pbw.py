@@ -32,6 +32,27 @@ def _triangular_key(g):
 _ORDER_KEYS = {"deglex": gen_sort_key, "triangular": _triangular_key}
 
 
+def _accumulate(table, terms, scale=1):
+    """Add scale * terms into table in place, deleting cancelled keys.
+
+    ``terms`` maps keys to nonzero Fractions, so a nonzero ``scale`` keeps
+    every value in ``table`` a nonzero Fraction.  Callers own ``table``: it
+    must never be a dict that a cache or another polynomial holds.
+    """
+    if not scale:
+        return
+    for key, c in terms.items():
+        old = table.get(key)
+        if old is None:
+            table[key] = c * scale
+            continue
+        c = old + c * scale
+        if c:
+            table[key] = c
+        else:
+            del table[key]
+
+
 def _straighten(algebra, word, order="deglex"):
     """Normal form of a raw word (tuple over Gen and TAU tokens).
 
@@ -63,27 +84,21 @@ def _straighten(algebra, word, order="deglex"):
     x, y = word[bad], word[bad + 1]
     head, tail = word[:bad], word[bad + 2 :]
     out = {}
-
-    def accumulate(mapping, scale):
-        for key, c in mapping.items():
-            out[key] = out.get(key, Fraction(0)) + c * scale
-            if not out[key]:
-                del out[key]
-
-    accumulate(_straighten(algebra, head + (y, x) + tail, order), Fraction(1))
+    _accumulate(out, _straighten(algebra, head + (y, x) + tail, order))
     if y is TAU:
         # e_ij[r] tau = tau e_ij[r] + r e_ij[r-1]
         if x.u != 0:
-            accumulate(
+            _accumulate(
+                out,
                 _straighten(algebra, head + (x.shifted(-1),) + tail, order),
                 Fraction(x.u),
             )
     else:
         lie, central = algebra.bracket(x, y)
         for g, c in lie:
-            accumulate(_straighten(algebra, head + (g,) + tail, order), c)
+            _accumulate(out, _straighten(algebra, head + (g,) + tail, order), c)
         if central:
-            accumulate(_straighten(algebra, head + tail, order), central)
+            _accumulate(out, _straighten(algebra, head + tail, order), central)
     cache[word] = out
     return out
 
@@ -108,11 +123,20 @@ class NCPoly:
                 else:
                     raw = (TAU,) * tau_pow + tuple(word)
                     contributions = _straighten(algebra, raw)
-                for mono, c in contributions.items():
-                    table[mono] = table.get(mono, Fraction(0)) + coeff * c
-                    if not table[mono]:
-                        del table[mono]
+                _accumulate(table, contributions, coeff)
         self._terms = table
+
+    @classmethod
+    def _adopt(cls, algebra, table):
+        """Wrap a table that is already normal, with nonzero Fraction values.
+
+        The polynomial takes ownership of ``table`` without copying or
+        re-normalising it, so sums built in one dict stay linear.
+        """
+        poly = cls.__new__(cls)
+        poly.algebra = algebra
+        poly._terms = table
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -160,7 +184,7 @@ class NCPoly:
         picked = {
             (0, word): c for (k, word), c in self._terms.items() if k == tau_power
         }
-        return NCPoly(self.algebra, picked, _normal=True)
+        return NCPoly._adopt(self.algebra, picked)
 
     def max_tau_power(self):
         return max((k for (k, _w) in self._terms), default=0)
@@ -186,9 +210,8 @@ class NCPoly:
     def __add__(self, other):
         self._check_compatible(other)
         table = dict(self._terms)
-        for key, c in other._terms.items():
-            table[key] = table.get(key, Fraction(0)) + c
-        return NCPoly(self.algebra, table, _normal=True)
+        _accumulate(table, other._terms)
+        return NCPoly._adopt(self.algebra, table)
 
     def __neg__(self):
         return self.scale(-1)
@@ -200,10 +223,8 @@ class NCPoly:
         scalar = Fraction(scalar)
         if not scalar:
             return NCPoly.zero(self.algebra)
-        return NCPoly(
-            self.algebra,
-            {key: c * scalar for key, c in self._terms.items()},
-            _normal=True,
+        return NCPoly._adopt(
+            self.algebra, {key: c * scalar for key, c in self._terms.items()}
         )
 
     def __mul__(self, other):
@@ -214,11 +235,8 @@ class NCPoly:
         for (k1, w1), c1 in self._terms.items():
             for (k2, w2), c2 in other._terms.items():
                 raw = (TAU,) * k1 + w1 + (TAU,) * k2 + w2
-                for mono, c in _straighten(self.algebra, raw).items():
-                    table[mono] = table.get(mono, Fraction(0)) + c1 * c2 * c
-                    if not table[mono]:
-                        del table[mono]
-        return NCPoly(self.algebra, table, _normal=True)
+                _accumulate(table, _straighten(self.algebra, raw), c1 * c2)
+        return NCPoly._adopt(self.algebra, table)
 
     __rmul__ = __mul__
 
@@ -291,11 +309,8 @@ def nc_normal_form(algebra, raw):
     """
     table = {}
     for coeff, word in raw:
-        for mono, c in _straighten(algebra, tuple(word)).items():
-            table[mono] = table.get(mono, Fraction(0)) + Fraction(coeff) * c
-            if not table[mono]:
-                del table[mono]
-    return NCPoly(algebra, table, _normal=True)
+        _accumulate(table, _straighten(algebra, tuple(word)), Fraction(coeff))
+    return NCPoly._adopt(algebra, table)
 
 
 def nc_mul(p, q):
@@ -319,13 +334,13 @@ def hc_project(p):
             raise DomainError("projection undefined: monomial contains tau")
         if any(g.u >= 0 for g in word):
             raise DomainError("projection undefined: nonnegative-degree factor")
-        for (k2, tri_word), c2 in _straighten(p.algebra, word, "triangular").items():
-            if all(g.is_diagonal for g in tri_word):
-                key = (k2, tri_word)
-                table[key] = table.get(key, Fraction(0)) + c * c2
-                if not table[key]:
-                    del table[key]
-    return NCPoly(p.algebra, table, _normal=True)
+        tri = _straighten(p.algebra, word, "triangular")
+        _accumulate(
+            table,
+            {key: c2 for key, c2 in tri.items() if all(g.is_diagonal for g in key[1])},
+            c,
+        )
+    return NCPoly._adopt(p.algebra, table)
 
 
 class CommPoly:

@@ -25,7 +25,7 @@ from itertools import permutations
 
 from .algebra import AffineAlgebra, Gen
 from .errors import ValidationError
-from .pbw import CommPoly, NCPoly
+from .pbw import CommPoly, NCPoly, _accumulate
 
 
 def _perm_sign(perm):
@@ -57,13 +57,13 @@ def cdet(matrix):
     if n == 0:
         raise ValidationError("empty matrix")
     algebra = matrix[0][0].algebra
-    total = NCPoly.zero(algebra)
+    table = {}
     for perm in permutations(range(n)):
         term = matrix[perm[0]][0]
         for col in range(1, n):
             term = term * matrix[perm[col]][col]
-        total = total + term.scale(_perm_sign(perm))
-    return total
+        _accumulate(table, term._terms, _perm_sign(perm))
+    return NCPoly._adopt(algebra, table)
 
 
 class SSFamily:

@@ -116,6 +116,21 @@ def test_validation_error_exits_2(capsys):
     assert code == 2
 
 
+def test_bad_window_and_rationals_exit_2(capsys):
+    bad_coefficient = {"rank": 1, "a": [{"terms": [[-1, "1/0"]]}]}
+    for argv in (
+        ["verify", "--case", "km0", "--n", "2", "--window", "-3", "--json"],
+        ["report", "--n", "2", "--m", "1", "--window", "-1", "--json"],
+        ["verify", "--case", "moyprasad", "--n", "2", "--x", "a,b", "--json"],
+        ["verify", "--case", "moyprasad", "--n", "2", "--r", "1/0", "--json"],
+        ["irr", "--data", json.dumps(bad_coefficient), "--json"],
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert json.loads(err)["error"] == "ValidationError", argv
+
+
 def test_moyprasad_flags(capsys):
     code, out, _ = _run(
         capsys, "verify", "--case", "moyprasad", "--n", "2", "--m", "1",

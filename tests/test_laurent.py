@@ -10,9 +10,10 @@ from critcenter.errors import (
     PrecisionExhaustedError,
     UndeterminedResidueError,
     UndeterminedValuationError,
+    ValidationError,
     ZeroDivisorError,
 )
-from critcenter.laurent import INFINITY, LaurentElement as L
+from critcenter.laurent import INFINITY, LaurentElement as L, scalar_from_str
 
 
 def test_mul_polynomial_product():
@@ -121,6 +122,13 @@ def test_json_round_trip():
     assert L.from_json(a.to_json()) == a
     b = L({0: 1})
     assert L.from_json(b.to_json()) == b
+
+
+def test_scalar_parse_errors_are_validation_errors():
+    assert scalar_from_str(" -3/4") == Fraction(-3, 4)
+    for text in ("a", "1/0", "", None):
+        with pytest.raises(ValidationError):
+            scalar_from_str(text)
 
 
 # -- randomized laws -------------------------------------------------------

@@ -24,6 +24,7 @@ from critcenter.modules import (
     vacuum_module,
     vanishing_report,
 )
+from critcenter.pbw import NCPoly
 from critcenter.sugawara import ss_vectors
 
 V0 = ModuleVector.vacuum()
@@ -318,14 +319,9 @@ def test_sugawara_states_are_central_in_vacuum():
             assert state_is_central(s, n)
 
 
-def test_reordered_quadratic_vector_is_not_central():
-    # Reordering the off-diagonal product across columns spoils centrality;
-    # the corrected variant differs by e_11[-2] - e_22[-2] and fails the
-    # vacuum test, pinning the column-order convention.
-    from critcenter.pbw import NCPoly
-    fam = ss_vectors(2)
-    alg = fam.S[0].algebra
-    variant = NCPoly(
+def _reordered_quadratic_variant():
+    alg = ss_vectors(2).S[0].algebra
+    return NCPoly(
         alg,
         {
             (0, (Gen(1, 1, -2),)): -1,
@@ -334,7 +330,85 @@ def test_reordered_quadratic_vector_is_not_central():
         },
         _normal=True,
     )
-    assert not state_is_central(variant, 2)
+
+
+def test_reordered_quadratic_vector_is_not_central():
+    # Reordering the off-diagonal product across columns spoils centrality;
+    # the corrected variant differs by e_11[-2] - e_22[-2] and fails the
+    # vacuum test, pinning the column-order convention.
+    assert not state_is_central(_reordered_quadratic_variant(), 2)
+
+
+def _central_by_full_sweep(state, n):
+    """Reference test: every e_ij[u] below the certified mode bound kills the state."""
+    mod = vacuum_module(n)
+    vec = mod.act_poly(state, V0)
+    limit = mod.creation_shift(vec) + mod._lemma_slack
+    return all(
+        mod.act(Gen(i, j, u), vec).is_zero()
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        for u in range(limit)
+    )
+
+
+def test_generator_centrality_matches_full_sweep():
+    for n in (1, 2, 3, 4):
+        for s in ss_vectors(n).S:
+            assert state_is_central(s, n) and _central_by_full_sweep(s, n), (n, s)
+    alg1 = ss_vectors(1).S[0].algebra
+    heisenberg = NCPoly.from_word(alg1, (Gen(1, 1, -2), Gen(1, 1, -1)), 3)
+    assert state_is_central(heisenberg, 1) and _central_by_full_sweep(heisenberg, 1)
+
+    alg2, alg3 = ss_vectors(2).S[0].algebra, ss_vectors(3).S[0].algebra
+    # tr(E[-2] E[-2]) is sl_n-invariant, so only e_{n,1}[1] detects it.
+    trace_square = NCPoly(
+        alg3,
+        [
+            ((0, (Gen(i, j, -2), Gen(j, i, -2))), 1)
+            for i in (1, 2, 3)
+            for j in (1, 2, 3)
+        ],
+    )
+    non_central = [
+        (_reordered_quadratic_variant(), 2),
+        (NCPoly.from_word(alg2, (Gen(1, 2, -1),)), 2),
+        (NCPoly.from_word(alg3, (Gen(1, 2, -1),)), 3),
+        (ss_vectors(3).S[1] + NCPoly.from_word(alg3, (Gen(1, 2, -2),)), 3),
+        (trace_square, 3),
+    ]
+    for state, n in non_central:
+        assert not state_is_central(state, n), (n, state)
+        assert not _central_by_full_sweep(state, n), (n, state)
+
+
+def test_repeated_actions_never_mutate_cached_tables():
+    # Sums accumulate in place into fresh dicts; a cached result handed back
+    # by act or fourier_act must come out unchanged however often it is
+    # reused, so repeated calls agree with a fresh module.
+    rf = root_fn_km0(3, 1)
+    family = ss_vectors(3)
+    mod = RootModule(rf)
+    vec = mod.act(Gen(3, 1, 0), V0) + mod.act(Gen(2, 1, -1), V0).scale(2)
+    gens = [Gen(i, j, u) for i in (1, 2, 3) for j in (1, 2, 3) for u in (-1, 0, 1)]
+    cells = [(ell, N) for ell in (1, 2, 3) for N in range(-1, 4)]
+
+    def run(module):
+        acted = [module.act(g, module.act(g, vec)) for g in gens]
+        scanned = [module.fourier_act(family.S[ell - 1], N, V0) for ell, N in cells]
+        shifted = [module.fourier_act(family.S[ell - 1], N, vec) for ell, N in cells]
+        return acted + scanned + shifted
+
+    first = [v.freeze() for v in run(mod)]
+    act_snapshot = {k: dict(v) for k, v in mod._act_cache.items()}
+    fourier_snapshot = {k: v.freeze() for k, v in mod._fourier_cache.items()}
+    for _ in range(2):
+        assert [v.freeze() for v in run(mod)] == first
+    assert [v.freeze() for v in run(RootModule(rf))] == first
+    for key, table in act_snapshot.items():
+        assert mod._act_cache[key] == table
+    for key, frozen in fourier_snapshot.items():
+        assert mod._fourier_cache[key].freeze() == frozen
 
 
 def test_centrality_on_module_vectors():

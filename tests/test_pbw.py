@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from critcenter.algebra import TAU, AffineAlgebra, Gen, gen_sort_key
 from critcenter.errors import DomainError
+from critcenter.modules import ModuleVector
 from critcenter.pbw import CommPoly, NCPoly, hc_project, nc_normal_form, symbol
 from critcenter.sugawara import ss_vectors
 
@@ -228,3 +231,39 @@ def test_json_round_trip():
         Fraction(-3, 2)
     )
     assert NCPoly.from_json(alg, p.to_json()) == p
+
+
+# -- linear sums ---------------------------------------------------------------
+
+_words = st.lists(
+    st.builds(Gen, st.integers(1, 2), st.integers(1, 2), st.integers(-2, 1)),
+    max_size=2,
+).map(lambda w: tuple(sorted(w, key=gen_sort_key)))
+_terms = st.lists(
+    st.tuples(
+        _words,
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    ),
+    max_size=6,
+)
+
+
+@given(_terms, _terms, st.integers(0, 6), st.integers(0, 2))
+def test_cancelling_sums_store_no_zero(a_terms, b_terms, cancel, tau_pow):
+    # b repeats the first `cancel` terms of a with opposite signs, so a + b
+    # cancels them; the sum must match the public constructor on the merged
+    # terms and hold only nonzero Fractions.
+    b_terms = b_terms + [(w, -c) for w, c in a_terms[:cancel]]
+    alg = _alg(2)
+
+    def poly(terms):
+        return NCPoly(alg, [((tau_pow, w), c) for w, c in terms], _normal=True)
+
+    cases = [
+        (ModuleVector(a_terms), ModuleVector(b_terms), ModuleVector(a_terms + b_terms)),
+        (poly(a_terms), poly(b_terms), poly(a_terms + b_terms)),
+    ]
+    for a, b, merged in cases:
+        for total, expected in ((a + b, merged), (a - a, a.scale(0)), (a + b - b, a)):
+            assert total == expected
+            assert all(type(c) is Fraction and c for c in total._terms.values())

@@ -26,6 +26,16 @@ def _scalar_matrix(alg, rows):
     return [[NCPoly.one(alg).scale(v) for v in row] for row in rows]
 
 
+def _tau_plus_e(alg):
+    n = alg.n
+    tau = NCPoly.tau(alg)
+    gen = lambda i, j: NCPoly.generator(alg, Gen(i, j, -1))
+    return [
+        [tau + gen(i, j) if i == j else gen(i, j) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+
+
 def test_cdet_commutative_two_by_two():
     alg = AffineAlgebra.critical(2)
     a, b, c, d = Fraction(2), Fraction(3), Fraction(5), Fraction(7)
@@ -44,12 +54,8 @@ def test_cdet_full_rank_two_expansion():
     # Strict column order: the swap summand is e_21[-1] e_12[-1], whose
     # normal form carries the bracket correction, landing the tau-free part
     # on -e_22[-2] rather than -e_11[-2].
-    fam = ss_vectors(2)
-    alg = fam.S[0].algebra
-    tau = NCPoly.tau(alg)
-    gen = lambda i, j: NCPoly.generator(alg, Gen(i, j, -1))
-    m = [[tau + gen(1, 1), gen(1, 2)], [gen(2, 1), tau + gen(2, 2)]]
-    expansion = cdet(m)
+    alg = ss_vectors(2).S[0].algebra
+    expansion = cdet(_tau_plus_e(alg))
     expected = (
         NCPoly(alg, {(2, ()): 1}, _normal=True)
         + NCPoly(
@@ -65,6 +71,31 @@ def test_cdet_full_rank_two_expansion():
         )
     )
     assert expansion == expected
+
+
+def test_repeated_construction_never_mutates_cached_tables():
+    # cdet, products and the projection accumulate in place; rebuilding on a
+    # warm straighten cache, or the family from a cleared family cache, must
+    # agree with a fresh algebra.
+    import critcenter.sugawara as sugawara
+
+    alg, fresh = AffineAlgebra.critical(3), AffineAlgebra.critical(3)
+    matrix = _tau_plus_e(alg)
+    expected = cdet(_tau_plus_e(fresh))
+    square = expected * expected
+    for _ in range(2):
+        full = cdet(matrix)
+        assert full == expected
+        assert full * full == square
+
+    sugawara._family_cache.clear()
+    first = ss_vectors(4)
+    first_json = first.to_json()
+    assert [hc_project(s) for s in first.S] == list(first.omega)
+    assert [hc_project(s) for s in first.S] == list(first.omega)
+    sugawara._family_cache.clear()
+    assert ss_vectors(4).to_json() == first_json
+    assert first.to_json() == first_json
 
 
 def test_family_rank_one():
