@@ -27,7 +27,7 @@ from .errors import (
     PrecisionExhaustedError,
     ValidationError,
 )
-from .laurent import LaurentElement
+from .laurent import LaurentElement, int_from_json
 
 
 class DiffOp:
@@ -175,7 +175,7 @@ class Oper:
         if not isinstance(data, dict) or "a" not in data:
             raise ValidationError("oper payload needs an 'a' list")
         a = [LaurentElement.from_json(entry) for entry in data["a"]]
-        if "rank" in data and int(data["rank"]) != len(a):
+        if "rank" in data and int_from_json(data["rank"], "oper rank") != len(a):
             raise ValidationError("oper rank does not match coefficient count")
         return cls(a)
 

@@ -35,6 +35,13 @@ def scalar_from_str(text):
         raise ValidationError(f"not a rational number: {text!r}") from exc
 
 
+def int_from_json(value, what):
+    """A JSON integer; floats, strings and booleans raise ValidationError."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def scalar_to_str(value):
     return str(Fraction(value))
 
@@ -336,8 +343,11 @@ class LaurentElement:
         if not isinstance(data, dict) or "terms" not in data:
             raise ValidationError(f"not a Laurent element: {data!r}")
         try:
-            terms = [(int(k), scalar_from_str(c)) for k, c in data["terms"]]
+            terms = [
+                (int_from_json(k, "exponent"), scalar_from_str(c))
+                for k, c in data["terms"]
+            ]
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad Laurent terms: {exc}") from exc
         prec = data.get("precision")
-        return cls(terms, None if prec is None else int(prec))
+        return cls(terms, None if prec is None else int_from_json(prec, "precision"))

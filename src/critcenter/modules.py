@@ -41,7 +41,8 @@ from fractions import Fraction
 from .algebra import AffineAlgebra, BilinearForm, Gen, gen_from_str, gen_sort_key
 from .errors import DomainError, ValidationError
 from .laurent import LaurentElement, scalar_from_str, scalar_to_str
-from .pbw import NCPoly, _accumulate
+from .lincomb import LinComb, _accumulate
+from .pbw import NCPoly
 from .sugawara import ss_vectors
 from .diffop import Oper, irregularity
 
@@ -54,6 +55,11 @@ def _gbinom(top, k):
     for step in range(k):
         value *= top - step
     return value // math.factorial(k)
+
+
+def _field_mode(head, m, p):
+    """The mode x[p - m] and coefficient (-1)^m binom(p, m) of (x[-m-1])_(p)."""
+    return Gen(head.i, head.j, p - m), Fraction((-1) ** (m % 2) * _gbinom(p, m))
 
 
 class RootFunction:
@@ -171,38 +177,12 @@ def _vacuum_root_fn(n):
     return RootFunction(n, values, "vacuum", {}, _allow_zero_diagonal=True)
 
 
-class ModuleVector:
+class ModuleVector(LinComb):
     """Finite rational combination of ordered creation monomials applied to v_0."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        table = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for word, c in items:
-                c = Fraction(c)
-                if c:
-                    word = tuple(word)
-                    table[word] = table.get(word, Fraction(0)) + c
-                    if not table[word]:
-                        del table[word]
-        self._terms = table
-
-    @classmethod
-    def _adopt(cls, table):
-        """Wrap a table of creation words with nonzero Fraction values.
-
-        The vector takes ownership of ``table`` without copying or
-        re-normalising it, so sums built in one dict stay linear.
-        """
-        vec = cls.__new__(cls)
-        vec._terms = table
-        return vec
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    _key = staticmethod(tuple)
 
     @classmethod
     def vacuum(cls):
@@ -213,31 +193,6 @@ class ModuleVector:
             self._terms.items(),
             key=lambda kv: (len(kv[0]), [gen_sort_key(g) for g in kv[0]]),
         )
-
-    def is_zero(self):
-        return not self._terms
-
-    def __add__(self, other):
-        table = dict(self._terms)
-        _accumulate(table, other._terms)
-        return ModuleVector._adopt(table)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return ModuleVector.zero()
-        return ModuleVector._adopt({w: c * scalar for w, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self._terms == other._terms
 
     def freeze(self):
         return tuple(sorted(self._terms.items()))
@@ -444,22 +399,34 @@ class RootModule:
         words = _state_words(state)
         table = {}
         for word, c in words.items():
-            if on_term is None:
-                part = self._fourier_word(word, s, vec)
-            else:
-                part = self._fourier_word_traced(word, s, vec, c, (), (), on_term)
-            _accumulate(table, part._terms, c)
+            trace = None if on_term is None else (on_term, c, (), ())
+            _accumulate(table, self._fourier_word(word, s, vec, trace)._terms, c)
         return ModuleVector._adopt(table)
 
-    def _fourier_word(self, word, s, vec):
+    def _fourier_word(self, word, s, vec, trace=None):
+        """word_(s) vec by the field recursion in the module docstring.
+
+        ``trace`` is ``(on_term, coeff, left, right)``: the coefficient of the
+        path so far and the modes already placed left and right of this
+        word's field.  A traced call reports to ``on_term`` every path that
+        ends on the vacuum field at index -1, so it must visit each path: it
+        neither reads nor fills the cache.
+        """
         if vec.is_zero():
             return ModuleVector.zero()
+        if trace:
+            on_term, coeff, left, right = trace
         if not word:
-            return vec if s == -1 else ModuleVector.zero()
-        key = (word, s, vec.freeze())
-        hit = self._fourier_cache.get(key)
-        if hit is not None:
-            return hit
+            if s != -1:
+                return ModuleVector.zero()
+            if trace:
+                on_term(left + right, coeff)
+            return vec
+        if not trace:
+            key = (word, s, vec.freeze())
+            hit = self._fourier_cache.get(key)
+            if hit is not None:
+                return hit
         head, tail = word[0], word[1:]
         m = -head.u - 1
         total = {}
@@ -470,66 +437,31 @@ class RootModule:
         else:
             lo = s  # the vacuum field only acts at index -1
         for p in range(lo, 0):
-            inner = self._fourier_word(tail, s - p - 1, vec)
+            sub = None
+            if trace:
+                mode, c = _field_mode(head, m, p)
+                sub = (on_term, coeff * c, left + (mode,), right)
+            inner = self._fourier_word(tail, s - p - 1, vec, sub)
             if inner.is_zero():
                 continue
-            coeff = Fraction((-1) ** (m % 2) * _gbinom(p, m))
-            acted = self.act(Gen(head.i, head.j, p - m), inner)
-            _accumulate(total, acted._terms, coeff)
+            mode, c = _field_mode(head, m, p)
+            _accumulate(total, self.act(mode, inner)._terms, c)
         # annihilation side: p >= m (binomial vanishes below), head acts first
         hi = m + self.generator_annihilation_degree(head, vec)
         for p in range(m, hi):
-            coeff = Fraction((-1) ** (m % 2) * _gbinom(p, m))
-            if not coeff:
-                continue
-            moved = self.act(Gen(head.i, head.j, p - m), vec)
-            if moved.is_zero():
-                continue
-            inner = self._fourier_word(tail, s - p - 1, moved)
-            _accumulate(total, inner._terms, coeff)
-        result = ModuleVector._adopt(total)
-        self._fourier_cache[key] = result
-        return result
-
-    def _fourier_word_traced(self, word, s, vec, coeff, left, right, on_term):
-        # Same recursion with the expansion trace threaded through; used by
-        # diagnostics and the shape tests, not on hot paths.
-        if vec.is_zero():
-            return ModuleVector.zero()
-        if not word:
-            if s == -1:
-                on_term(left + right, coeff)
-                return vec
-            return ModuleVector.zero()
-        head, tail = word[0], word[1:]
-        m = -head.u - 1
-        total = {}
-        if tail:
-            lo = s - self.word_annihilation_bound(tail, vec)
-        else:
-            lo = s
-        for p in range(lo, 0):
-            c = Fraction((-1) ** (m % 2) * _gbinom(p, m))
-            mode = Gen(head.i, head.j, p - m)
-            inner = self._fourier_word_traced(
-                tail, s - p - 1, vec, coeff * c, left + (mode,), right, on_term
-            )
-            if not inner.is_zero():
-                _accumulate(total, self.act(mode, inner)._terms, c)
-        hi = m + self.generator_annihilation_degree(head, vec)
-        for p in range(m, hi):
-            c = Fraction((-1) ** (m % 2) * _gbinom(p, m))
+            mode, c = _field_mode(head, m, p)
             if not c:
                 continue
-            mode = Gen(head.i, head.j, p - m)
             moved = self.act(mode, vec)
             if moved.is_zero():
                 continue
-            traced = self._fourier_word_traced(
-                tail, s - p - 1, moved, coeff * c, left, (mode,) + right, on_term
-            )
-            _accumulate(total, traced._terms, c)
-        return ModuleVector._adopt(total)
+            sub = trace and (on_term, coeff * c, left, (mode,) + right)
+            inner = self._fourier_word(tail, s - p - 1, moved, sub)
+            _accumulate(total, inner._terms, c)
+        result = ModuleVector._adopt(total)
+        if not trace:
+            self._fourier_cache[key] = result
+        return result
 
 
 # -- module-level operations ---------------------------------------------

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .algebra import TAU, gen_from_str, gen_sort_key
 from .errors import DomainError, ValidationError
 from .laurent import scalar_from_str, scalar_to_str
+from .lincomb import LinComb, _accumulate
 
 
 def _triangular_key(g):
@@ -30,27 +31,6 @@ def _triangular_key(g):
 
 
 _ORDER_KEYS = {"deglex": gen_sort_key, "triangular": _triangular_key}
-
-
-def _accumulate(table, terms, scale=1):
-    """Add scale * terms into table in place, deleting cancelled keys.
-
-    ``terms`` maps keys to nonzero Fractions, so a nonzero ``scale`` keeps
-    every value in ``table`` a nonzero Fraction.  Callers own ``table``: it
-    must never be a dict that a cache or another polynomial holds.
-    """
-    if not scale:
-        return
-    for key, c in terms.items():
-        old = table.get(key)
-        if old is None:
-            table[key] = c * scale
-            continue
-        c = old + c * scale
-        if c:
-            table[key] = c
-        else:
-            del table[key]
 
 
 def _straighten(algebra, word, order="deglex"):
@@ -103,10 +83,10 @@ def _straighten(algebra, word, order="deglex"):
     return out
 
 
-class NCPoly:
+class NCPoly(LinComb):
     """A finite rational combination of normally ordered NC monomials."""
 
-    __slots__ = ("algebra", "_terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, terms=None, _normal=False):
         self.algebra = algebra
@@ -138,11 +118,10 @@ class NCPoly:
         poly._terms = table
         return poly
 
-    # -- constructors ------------------------------------------------------
+    def _new(self, table):
+        return NCPoly._adopt(self.algebra, table)
 
-    @classmethod
-    def zero(cls, algebra):
-        return cls(algebra)
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def one(cls, algebra):
@@ -172,9 +151,6 @@ class NCPoly:
                 [gen_sort_key(g) for g in kv[0][1]],
             ),
         )
-
-    def is_zero(self):
-        return not self._terms
 
     def coefficient(self, tau_power, word):
         return self._terms.get((tau_power, tuple(word)), Fraction(0))
@@ -209,23 +185,7 @@ class NCPoly:
 
     def __add__(self, other):
         self._check_compatible(other)
-        table = dict(self._terms)
-        _accumulate(table, other._terms)
-        return NCPoly._adopt(self.algebra, table)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return NCPoly.zero(self.algebra)
-        return NCPoly._adopt(
-            self.algebra, {key: c * scalar for key, c in self._terms.items()}
-        )
+        return super().__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -239,14 +199,6 @@ class NCPoly:
         return NCPoly._adopt(self.algebra, table)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     # -- presentation ------------------------------------------------------
 
@@ -343,32 +295,18 @@ def hc_project(p):
     return NCPoly._adopt(p.algebra, table)
 
 
-class CommPoly:
+class CommPoly(LinComb):
     """Commutative polynomial in graded symbols (i, j, u).
 
     Used for associated-graded computations: monomials are sorted tuples of
     symbols, so equality is syntactic.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        table = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, c in items:
-                c = Fraction(c)
-                if not c:
-                    continue
-                key = tuple(sorted(mono))
-                table[key] = table.get(key, Fraction(0)) + c
-                if not table[key]:
-                    del table[key]
-        self._terms = table
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    @staticmethod
+    def _key(mono):
+        return tuple(sorted(mono))
 
     @classmethod
     def one(cls):
@@ -381,40 +319,16 @@ class CommPoly:
     def items(self):
         return sorted(self._terms.items())
 
-    def is_zero(self):
-        return not self._terms
-
-    def __add__(self, other):
-        table = dict(self._terms)
-        for mono, c in other._terms.items():
-            table[mono] = table.get(mono, Fraction(0)) + c
-        return CommPoly(table)
-
-    def __neg__(self):
-        return CommPoly({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CommPoly({m: c * other for m, c in self._terms.items()})
-        table = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                key = tuple(sorted(m1 + m2))
-                table[key] = table.get(key, Fraction(0)) + c1 * c2
-        return CommPoly(table)
+            return self.scale(other)
+        return CommPoly(
+            (m1 + m2, c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
+        )
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, CommPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __str__(self):
         if not self._terms:
@@ -439,9 +353,8 @@ def symbol(p):
         if k:
             raise DomainError("symbol undefined: monomial contains tau")
         top = max(top, len(word))
-    table = {}
-    for (_k, word), c in p._terms.items():
-        if len(word) == top:
-            key = tuple(sorted((g.i, g.j, g.u) for g in word))
-            table[key] = table.get(key, Fraction(0)) + c
-    return CommPoly(table)
+    return CommPoly(
+        ([(g.i, g.j, g.u) for g in word], c)
+        for (_k, word), c in p._terms.items()
+        if len(word) == top
+    )

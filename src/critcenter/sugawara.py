@@ -25,7 +25,8 @@ from itertools import permutations
 
 from .algebra import AffineAlgebra, Gen
 from .errors import ValidationError
-from .pbw import CommPoly, NCPoly, _accumulate
+from .lincomb import _accumulate
+from .pbw import CommPoly, NCPoly
 
 
 def _perm_sign(perm):
@@ -176,14 +177,11 @@ def commutative_char_poly_coefficients(n):
     """
     from itertools import combinations
 
-    coeffs = []
-    for ell in range(1, n + 1):
-        total = CommPoly.zero()
-        for rows in combinations(range(1, n + 1), ell):
-            for perm in permutations(range(ell)):
-                mono = tuple(
-                    sorted((rows[r], rows[perm[r]], -1) for r in range(ell))
-                )
-                total = total + CommPoly({mono: Fraction(_perm_sign(perm))})
-        coeffs.append(total)
-    return coeffs
+    return [
+        CommPoly(
+            ([(rows[r], rows[perm[r]], -1) for r in range(ell)], _perm_sign(perm))
+            for rows in combinations(range(1, n + 1), ell)
+            for perm in permutations(range(ell))
+        )
+        for ell in range(1, n + 1)
+    ]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from critcenter.cli import run
 from critcenter.diffop import Connection, Oper
 from critcenter.laurent import LaurentElement as L
@@ -129,6 +131,25 @@ def test_bad_window_and_rationals_exit_2(capsys):
         assert code == 2, argv
         assert out == ""
         assert json.loads(err)["error"] == "ValidationError", argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["irr", "--data", '{"rank":1,"a":[{"terms":[[-1.5,"1"]]}]}'],
+        ["irr", "--data", '{"rank":1,"a":[{"terms":[[true,"1"]]}]}'],
+        ["irr", "--data", '{"rank":1,"a":[{"terms":[[-1,"1"]],"precision":2.5}]}'],
+        ["irr", "--data", '{"rank":1,"a":[{"terms":[[-1,"1"]],"precision":"x"}]}'],
+        ["irr", "--data", '{"rank":"x","a":[{"terms":[[-1,"1"]]}]}'],
+        ["irr", "--data", '{"rank":true,"a":[{"terms":[[-1,"1"]]}]}'],
+        ["miura", "--data", '[{"terms":[["-1","1"]]}]'],
+    ],
+)
+def test_json_integers_are_validated(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValidationError"
 
 
 def test_moyprasad_flags(capsys):

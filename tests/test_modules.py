@@ -216,6 +216,33 @@ def test_fourier_shape_of_expansion():
             assert sum(g.u for g in term_word) == degrees + s + 1
 
 
+def test_trace_on_warm_cache_matches_fresh_module():
+    # A traced call must walk every expansion path even when an untraced
+    # call has already cached the sub-results it would otherwise reuse.
+    n = 3
+    rf = root_fn_km0(n, 1)
+    family = ss_vectors(n)
+    warm = RootModule(rf)
+    traced_cells = 0
+    for ell in range(1, n + 1):
+        state = family.S[ell - 1]
+        certified = warm.annihilation_bound(state, V0)
+        thr = rf.threshold(ell)
+        for N in range(thr - 3, max(certified, thr)):
+            plain = warm.fourier_act(state, N, V0)
+            paths, fresh_paths = [], []
+            traced = warm.fourier_act(
+                state, N, V0, on_term=lambda w, c: paths.append((w, c))
+            )
+            RootModule(rf).fourier_act(
+                state, N, V0, on_term=lambda w, c: fresh_paths.append((w, c))
+            )
+            assert traced == plain, (ell, N)
+            assert paths == fresh_paths, (ell, N)
+            traced_cells += bool(paths)
+    assert traced_cells
+
+
 # -- annihilation bounds -------------------------------------------------------
 
 

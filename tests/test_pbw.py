@@ -259,11 +259,16 @@ def test_cancelling_sums_store_no_zero(a_terms, b_terms, cancel, tau_pow):
     def poly(terms):
         return NCPoly(alg, [((tau_pow, w), c) for w, c in terms], _normal=True)
 
+    def comm(terms):
+        return CommPoly([([(g.i, g.j, g.u) for g in w], c) for w, c in terms])
+
     cases = [
         (ModuleVector(a_terms), ModuleVector(b_terms), ModuleVector(a_terms + b_terms)),
         (poly(a_terms), poly(b_terms), poly(a_terms + b_terms)),
+        (comm(a_terms), comm(b_terms), comm(a_terms + b_terms)),
     ]
     for a, b, merged in cases:
         for total, expected in ((a + b, merged), (a - a, a.scale(0)), (a + b - b, a)):
             assert total == expected
+            assert hash(total) == hash(expected)
             assert all(type(c) is Fraction and c for c in total._terms.values())
