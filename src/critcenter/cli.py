@@ -144,6 +144,8 @@ def cmd_oper(args):
         raise ValidationError("payload is {'connection': ..., 'vector': [...]}")
     conn = Connection.from_json(payload["connection"])
     if "vector" in payload:
+        if not isinstance(payload["vector"], list):
+            raise ValidationError("oper payload 'vector' is a list of Laurent elements")
         vector = [LaurentElement.from_json(e) for e in payload["vector"]]
     else:
         vector = cyclic_vector_search(conn, args.degree_bound).components

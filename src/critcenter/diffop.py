@@ -17,8 +17,8 @@ terms with a_{n-i} = 0 are skipped.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, lcm, prod
 
 from .errors import (
     CyclicVectorNotFoundError,
@@ -172,7 +172,7 @@ class Oper:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict) or "a" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("a"), list):
             raise ValidationError("oper payload needs an 'a' list")
         a = [LaurentElement.from_json(entry) for entry in data["a"]]
         if "rank" in data and int_from_json(data["rank"], "oper rank") != len(a):
@@ -262,10 +262,11 @@ class Connection:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict) or "matrix" not in data:
-            raise ValidationError("connection payload needs a 'matrix'")
+        matrix = data.get("matrix") if isinstance(data, dict) else None
+        if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
+            raise ValidationError("connection payload needs a 'matrix' list of row lists")
         return cls(
-            [[LaurentElement.from_json(e) for e in row] for row in data["matrix"]]
+            [[LaurentElement.from_json(e) for e in row] for row in matrix]
         )
 
 
@@ -287,19 +288,95 @@ class CyclicVector:
 
 def laurent_matrix_det(matrix):
     """Exact determinant by cofactor expansion along the first column."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = LaurentElement.zero()
-    for r in range(n):
-        if matrix[r][0].is_zero():
-            continue
-        minor = [row[1:] for i, row in enumerate(matrix) if i != r]
-        cof = laurent_matrix_det(minor)
-        if r % 2:
-            cof = -cof
-        total = total + matrix[r][0] * cof
-    return total
+    return _cofactor_minors(matrix, [range(len(matrix))])[0]
+
+
+def _cofactor_minors(rows, orders):
+    """The n x n determinants of `rows` read through each column order.
+
+    Each determinant is expanded along its first column, row by row in the
+    stated order with alternating signs, exactly as the textbook recursion
+    does, so every product and sum is grouped the same way and the tracked
+    precision is the one LaurentElement arithmetic gives.  Minors are shared
+    through one table keyed by (remaining columns, remaining rows): orders
+    that end in the same column suffix reuse each other's sub-minors, which
+    brings n! products down to n 2^(n-1) per order.  After each order, the
+    minors of suffixes that no later order ends in are dropped.
+
+    Each row is first scaled by the common denominator of its entries, so
+    the table adds and multiplies plain integers; every full minor carries
+    the product of all scales, which is divided out once at the end.  A node
+    is (coefficients, precision, lower bound) under LaurentElement's rules:
+    an exact zero has no coefficients and precision None, a product is known
+    below min(lb_a + p_b, lb_b + p_a), a sum below the least of its terms'.
+    """
+    scales = []
+    entries = []
+    for row in rows:
+        scale = lcm(*(c.denominator for e in row for c in e._coeff.values()))
+        scales.append(scale)
+        entries.append([
+            (
+                {k: c.numerator * (scale // c.denominator) for k, c in e._coeff.items()},
+                e.precision,
+                e._lower_bound(),
+            )
+            for e in row
+        ])
+    divisor = prod(scales)
+    memo = {}  # column suffix -> {remaining rows: node}
+
+    def minor(live, cols):
+        if len(cols) == 1:
+            return entries[live[0]][cols[0]]
+        known = memo.setdefault(cols, {})
+        node = known.get(live)
+        if node is not None:
+            return node
+        rest = cols[1:]
+        table = {}
+        prec = None
+        for pos, r in enumerate(live):
+            a, pa, la = entries[r][cols[0]]
+            if la is None:  # exact zero entry
+                continue
+            b, pb, lb = minor(live[:pos] + live[pos + 1 :], rest)
+            if lb is None:  # exact zero cofactor
+                continue
+            p = None if pb is None else la + pb
+            if pa is not None and (p is None or lb + pa < p):
+                p = lb + pa
+            if p is not None and (prec is None or p < prec):
+                prec = p
+            sign = -1 if pos % 2 else 1
+            for k1, c1 in a.items():
+                c1 *= sign
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    if p is None or k < p:
+                        table[k] = table.get(k, 0) + c1 * c2
+        table = {
+            k: c for k, c in table.items() if c and (prec is None or k < prec)
+        }
+        node = (table, prec, min(table) if table else prec)
+        known[live] = node
+        return node
+
+    live = tuple(range(len(rows)))
+    orders = [tuple(order) for order in orders]
+    out = []
+    for j, order in enumerate(orders):
+        table, prec, _ = minor(live, order)
+        out.append(
+            LaurentElement(
+                {k: Fraction(c, divisor) for k, c in table.items()}, prec
+            )
+        )
+        # keep peak memory down: drop the minors no later order ends in
+        later = {o[k:] for o in orders[j + 1 :] for k in range(len(o))}
+        for cols in memo.keys() - later:
+            del memo[cols]
+    return out
 
 
 def oper_to_connection(chi):
@@ -358,11 +435,7 @@ def cyclic_vector_search(conn, degree_bound=3):
                         [(idx, k * pos) for pos, idx in enumerate(subset)]
                     )
         # exhaustive monomial supports: exponent -1 marks an absent component
-        exponents = range(-1, degree_bound + 1)
-        stack = [[]]
-        for _ in range(n):
-            stack = [prefix + [e] for prefix in stack for e in exponents]
-        for choice in stack:
+        for choice in product(range(-1, degree_bound + 1), repeat=n):
             if all(e < 0 for e in choice):
                 continue
             yield basis_vector([(i, e) for i, e in enumerate(choice) if e >= 0])
@@ -385,21 +458,27 @@ def connection_to_oper(conn, vector, working_precision=None):
     """Solve D^n v = a_1 D^{n-1} v + ... + a_n v by Cramer's rule.
 
     Components of the cyclic vector must be exact (finite) Laurent elements.
-    The division by the certificate determinant uses truncated series
-    inversion; a single-monomial determinant inverts exactly, so companion
-    systems round-trip with no precision loss.  On precision exhaustion the
-    working precision is doubled a few times before giving up.
+    The certificate determinant and the n numerators are read from one minor
+    table over the augmented matrix (D^{n-1} v, ..., v | D^n v), so they
+    share every minor of the columns they have in common.  The division by
+    the certificate determinant uses truncated series inversion; a
+    single-monomial determinant inverts exactly, so companion systems
+    round-trip with no precision loss.  On precision exhaustion the working
+    precision is doubled a few times before giving up.
     """
     components = vector.components if isinstance(vector, CyclicVector) else vector
     n = conn.rank
     if len(components) != n:
         raise DimensionMismatchError("cyclic vector length does not match rank")
     images = _iterated_images(conn, components)
-    # columns D^{n-1} v, ..., D v, v against the target D^n v
-    columns = [images[n - 1 - j] for j in range(n)]
-    target = images[n]
-    base = [[columns[c][r] for c in range(n)] for r in range(n)]
-    det = laurent_matrix_det(base)
+    # columns D^{n-1} v, ..., D v, v and, as column n, the target D^n v
+    augmented = [[images[n - 1 - c][r] for c in range(n)] + [images[n][r]]
+                 for r in range(n)]
+    # numerator idx takes the target in place of column idx
+    orders = [range(n)] + [
+        [n if c == idx else c for c in range(n)] for idx in range(n)
+    ]
+    det, *numerators = _cofactor_minors(augmented, orders)
     if det.is_zero():
         raise NotCyclicError("certificate determinant vanishes; vector is not cyclic")
 
@@ -408,15 +487,7 @@ def connection_to_oper(conn, vector, working_precision=None):
     for attempt in range(attempts):
         try:
             inv = det.invert(order)
-            a = []
-            for idx in range(n):
-                numerator_matrix = [
-                    [target[r] if c == idx else base[r][c] for c in range(n)]
-                    for r in range(n)
-                ]
-                numerator = laurent_matrix_det(numerator_matrix)
-                a.append(numerator * inv)
-            return Oper(a)
+            return Oper([numerator * inv for numerator in numerators])
         except PrecisionExhaustedError:
             if attempt == attempts - 1:
                 raise

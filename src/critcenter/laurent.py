@@ -244,8 +244,9 @@ class LaurentElement:
         """A series b with self*b = 1 + O(t^order); b has valuation -v(self).
 
         A single stored monomial inverts exactly.  Otherwise the result is
-        precision-tracked, with the geometric-series tail truncated at the
-        requested order.
+        precision-tracked and truncated at the requested order: writing
+        self = t^v (c_0 + c_1 t + ...), its coefficients b_k (at t^(k-v))
+        follow from b_0 = 1/c_0 and b_k = -(1/c_0) sum_{j=1..k} c_j b_{k-j}.
         """
         if self.is_zero():
             raise ZeroDivisorError("cannot invert the zero series")
@@ -260,23 +261,17 @@ class LaurentElement:
             raise PrecisionExhaustedError(
                 f"cannot invert to order {order} with input precision O(t^{self.precision})"
             )
-        # u = self / (c0 t^v) - 1 has valuation >= 1
-        u = LaurentElement(
-            {k - v: c / c0 for k, c in self._coeff.items() if k != v},
-            None if self.precision is None else self.precision - v,
-        )
-        geo = LaurentElement.one()
-        power = LaurentElement.one()
-        k = 1
-        while True:
-            power = (power * u).truncate(effective)
-            if power.is_zero_mod_precision():
-                break
-            geo = geo + power.scale((-1) ** (k % 2))
-            k += 1
-        geo = geo.truncate(effective)
+        tail = sorted((k - v, c) for k, c in self._coeff.items() if k != v)
+        b = [1 / c0]
+        for k in range(1, effective):
+            total = 0
+            for j, c in tail:
+                if j > k:
+                    break
+                total += c * b[k - j]
+            b.append(-total / c0)
         return LaurentElement(
-            {k - v: c / c0 for k, c in geo._coeff.items()}, effective - v
+            {k - v: c for k, c in enumerate(b) if c}, effective - v
         )
 
     def truncate(self, precision):

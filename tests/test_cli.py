@@ -143,6 +143,11 @@ def test_bad_window_and_rationals_exit_2(capsys):
         ["irr", "--data", '{"rank":"x","a":[{"terms":[[-1,"1"]]}]}'],
         ["irr", "--data", '{"rank":true,"a":[{"terms":[[-1,"1"]]}]}'],
         ["miura", "--data", '[{"terms":[["-1","1"]]}]'],
+        # list-typed fields that are not lists
+        ["irr", "--data", '{"a":5}'],
+        ["cyclic", "--data", '{"matrix":[5]}'],
+        ["cyclic", "--data", '{"matrix":5}'],
+        ["oper", "--data", '{"connection":{"matrix":[[[[-1,"1"]]]]},"vector":5}'],
     ],
 )
 def test_json_integers_are_validated(capsys, argv):

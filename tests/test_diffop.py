@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critcenter.diffop import (
     Connection,
@@ -14,6 +16,7 @@ from critcenter.diffop import (
     connection_to_oper,
     cyclic_vector_search,
     irregularity,
+    laurent_matrix_det,
     miura,
     newton_polygon_irregularity,
     oper_to_connection,
@@ -22,6 +25,7 @@ from critcenter.errors import (
     CyclicVectorNotFoundError,
     DimensionMismatchError,
     NotCyclicError,
+    PrecisionExhaustedError,
     UndeterminedValuationError,
 )
 from critcenter.laurent import LaurentElement as L
@@ -336,6 +340,119 @@ def test_irregularity_same_for_alternative_cyclic_vectors_sampled():
             except UndeterminedValuationError:
                 continue
     assert checked >= 8
+
+
+# -- the minor table against the textbook recursion ---------------------------
+
+
+def _cofactor_det(matrix):
+    """Reference determinant: unmemoised expansion along the first column."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    total = L.zero()
+    for r in range(n):
+        if matrix[r][0].is_zero():
+            continue
+        minor = [row[1:] for i, row in enumerate(matrix) if i != r]
+        cof = _cofactor_det(minor)
+        if r % 2:
+            cof = -cof
+        total = total + matrix[r][0] * cof
+    return total
+
+
+def _cramer_oper(conn, vector, order):
+    """Reference extraction: n + 1 separate reference determinants."""
+    n = conn.rank
+    images = [list(vector)]
+    for _ in range(n):
+        images.append(conn.apply(images[-1]))
+    base = [[images[n - 1 - c][r] for c in range(n)] for r in range(n)]
+    det = _cofactor_det(base)
+    if det.is_zero():
+        raise NotCyclicError("certificate determinant vanishes")
+    for attempt in range(3):
+        try:
+            inv = det.invert(order)
+            break
+        except PrecisionExhaustedError:
+            if attempt == 2:
+                raise
+            order *= 2
+    a = []
+    for idx in range(n):
+        swapped = [
+            [images[n][r] if c == idx else base[r][c] for c in range(n)]
+            for r in range(n)
+        ]
+        a.append(_cofactor_det(swapped) * inv)
+    return Oper(a)
+
+
+def _exact(element):
+    """Coefficients and precision: equality that cannot hide a precision."""
+    return dict(element._coeff), element.precision
+
+
+_coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+# exact zeros, truncated zeros O(t^p), exact polynomials and truncated ones
+_entries = st.one_of(
+    st.just(L.zero()),
+    st.builds(L.zero, st.integers(min_value=-2, max_value=3)),
+    st.builds(
+        L,
+        st.dictionaries(st.integers(min_value=-2, max_value=2), _coefficients,
+                        min_size=1, max_size=3),
+        st.one_of(st.none(), st.none(), st.integers(min_value=-1, max_value=4)),
+    ),
+)
+
+
+@st.composite
+def _square_matrices(draw, entries, min_rank, max_rank):
+    n = draw(st.integers(min_value=min_rank, max_value=max_rank))
+    return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_matrices(_entries, 1, 5))
+def test_determinant_matches_cofactor_recursion(matrix):
+    assert _exact(laurent_matrix_det(matrix)) == _exact(_cofactor_det(matrix))
+
+
+_sparse_entries = st.one_of(
+    st.just(L.zero()),
+    st.builds(
+        L,
+        st.dictionaries(st.integers(min_value=-1, max_value=1), _coefficients,
+                        min_size=1, max_size=2),
+        st.one_of(st.none(), st.none(), st.none(), st.integers(min_value=1, max_value=5)),
+    ),
+)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_connection_to_oper_matches_cramer_rule(rank, data):
+    conn = Connection(data.draw(_square_matrices(_sparse_entries, rank, rank)))
+    exponents = st.integers(min_value=-1, max_value=2)
+    vector = [
+        L.zero() if e < 0 else L.monomial(e)
+        for e in data.draw(st.lists(exponents, min_size=rank, max_size=rank))
+    ]
+    order = data.draw(st.integers(min_value=2, max_value=12))
+
+    def outcome(extract):
+        try:
+            chi = extract(conn, vector, order)
+        except (NotCyclicError, PrecisionExhaustedError, UndeterminedValuationError) as exc:
+            return type(exc)
+        return [_exact(a) for a in chi.a]
+
+    assert outcome(connection_to_oper) == outcome(_cramer_oper)
 
 
 def test_oper_json_round_trip():

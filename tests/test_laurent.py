@@ -164,6 +164,58 @@ def test_residue_integration_by_parts(f, g):
     assert (f * g.derivative()).residue() == -(f.derivative() * g).residue()
 
 
+def _geometric_invert(a, order):
+    """Reference inverse: c0 t^v (1 + u) inverted by the truncated series sum (-u)^k."""
+    if a.is_zero():
+        raise ZeroDivisorError("cannot invert the zero series")
+    v = a.valuation()
+    c0 = a._coeff[v]
+    if len(a._coeff) == 1 and a.precision is None:
+        return L.monomial(-v, Fraction(1) / c0)
+    effective = order
+    if a.precision is not None:
+        effective = min(effective, a.precision - v)
+    if effective <= 0:
+        raise PrecisionExhaustedError("order exhausted")
+    u = L(
+        {k - v: c / c0 for k, c in a._coeff.items() if k != v},
+        None if a.precision is None else a.precision - v,
+    )
+    geo = L.one()
+    power = L.one()
+    k = 1
+    while True:
+        power = (power * u).truncate(effective)
+        if power.is_zero_mod_precision():
+            break
+        geo = geo + power.scale((-1) ** (k % 2))
+        k += 1
+    geo = geo.truncate(effective)
+    return L({k - v: c / c0 for k, c in geo._coeff.items()}, effective - v)
+
+
+truncated_elements = st.builds(
+    lambda d, p: L(d, p),
+    st.dictionaries(st.integers(min_value=-5, max_value=5), scalars, max_size=5),
+    st.one_of(st.none(), st.integers(min_value=-4, max_value=8)),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (ZeroDivisorError, UndeterminedValuationError, PrecisionExhaustedError) as exc:
+        return type(exc)
+    return dict(result._coeff), result.precision
+
+
+@settings(max_examples=200)
+@given(truncated_elements, st.integers(min_value=-2, max_value=12))
+def test_invert_matches_geometric_series(a, order):
+    # coefficients, precision and the error raised must all agree
+    assert _outcome(L.invert, a, order) == _outcome(_geometric_invert, a, order)
+
+
 @settings(max_examples=60)
 @given(elements, st.integers(min_value=1, max_value=6))
 def test_invert_two_sided(a, order):
