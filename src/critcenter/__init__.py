@@ -18,7 +18,7 @@ from .algebra import (
     killing_form,
     tau_bracket,
 )
-from .pbw import CommPoly, NCPoly, hc_project, nc_mul, nc_normal_form, symbol
+from .pbw import CommPoly, NCPoly, hc_project, nc_normal_form, symbol
 from .sugawara import (
     SSFamily,
     cartan_evaluate,
@@ -43,10 +43,7 @@ from .modules import (
     ModuleVector,
     RootFunction,
     RootModule,
-    act_generator,
-    annihilation_bound,
     conductor_irregularity_report,
-    fourier_act,
     lemma_relations_bound,
     root_fn_constant,
     root_fn_km0,
@@ -74,7 +71,6 @@ __all__ = [
     "CommPoly",
     "NCPoly",
     "hc_project",
-    "nc_mul",
     "nc_normal_form",
     "symbol",
     "SSFamily",
@@ -96,10 +92,7 @@ __all__ = [
     "ModuleVector",
     "RootFunction",
     "RootModule",
-    "act_generator",
-    "annihilation_bound",
     "conductor_irregularity_report",
-    "fourier_act",
     "lemma_relations_bound",
     "root_fn_constant",
     "root_fn_km0",

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ValidationError
+from .lincomb import canonical
 
 
 class Gen(NamedTuple):
@@ -76,7 +77,7 @@ def killing_form(n, a, b):
     """(e_ij, e_kl) = 2n d_jk d_il - 2 d_ij d_kl for the pairs a=(i,j), b=(k,l)."""
     i, j = a
     k, l = b
-    return Fraction(2 * n * (j == k) * (i == l) - 2 * (i == j) * (k == l))
+    return 2 * n * (j == k) * (i == l) - 2 * (i == j) * (k == l)
 
 
 class BilinearForm:
@@ -105,20 +106,21 @@ def bracket(a, b, form):
     """[e_ij[u], e_kl[v]] as (loop part, central scalar).
 
     The loop part is d_jk e_il[u+v] - d_li e_kj[u+v]; the central scalar is
-    -kappa(e_ij, e_kl) * v * d_{u+v,0}, the residue of t^u d(t^v).
+    -kappa(e_ij, e_kl) * v * d_{u+v,0}, the residue of t^u d(t^v), as an
+    int when it is integral (always, at the critical level).
     """
     if not (isinstance(a, Gen) and isinstance(b, Gen)):
         raise ValidationError("bracket arguments must be loop generators")
     terms = {}
     if a.j == b.i:
         g = Gen(a.i, b.j, a.u + b.u)
-        terms[g] = terms.get(g, Fraction(0)) + 1
+        terms[g] = terms.get(g, 0) + 1
     if b.j == a.i:
         g = Gen(b.i, a.j, a.u + b.u)
-        terms[g] = terms.get(g, Fraction(0)) - 1
-    central = Fraction(0)
+        terms[g] = terms.get(g, 0) - 1
+    central = 0
     if a.u + b.u == 0:
-        central = -form.value((a.i, a.j), (b.i, b.j)) * b.u
+        central = canonical(-form.value((a.i, a.j), (b.i, b.j)) * b.u)
     return [(g, c) for g, c in terms.items() if c], central
 
 
@@ -130,7 +132,7 @@ def tau_bracket(x):
         raise ValidationError("tau_bracket expects a loop generator or the central element")
     if x.u == 0:
         return []
-    return [(x.shifted(-1), Fraction(-x.u))]
+    return [(x.shifted(-1), -x.u)]
 
 
 class AffineAlgebra:

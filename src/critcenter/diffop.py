@@ -410,7 +410,9 @@ def cyclic_vector_search(conn, degree_bound=3):
 
     Tries the standard basis vectors, then sums of distinct basis vectors
     with staggered powers t^{k*i}, then an exhaustive enumeration of
-    monomial-supported candidates within the degree bound.
+    monomial-supported candidates within the degree bound.  A candidate
+    counts only when its certificate determinant has a known nonzero term:
+    one that is zero up to its precision certifies nothing.
     """
     if degree_bound < 0:
         raise ValidationError("degree bound must be nonnegative")
@@ -447,7 +449,7 @@ def cyclic_vector_search(conn, degree_bound=3):
             continue
         seen.add(key)
         det = certificate_determinant(conn, vec)
-        if not det.is_zero():
+        if not det.is_zero_mod_precision():
             return CyclicVector(vec, det)
     raise CyclicVectorNotFoundError(
         f"no cyclic vector with degree bound {degree_bound}; raise the bound"

@@ -41,7 +41,7 @@ from fractions import Fraction
 from .algebra import AffineAlgebra, BilinearForm, Gen, gen_from_str, gen_sort_key
 from .errors import DomainError, ValidationError
 from .laurent import LaurentElement, scalar_from_str, scalar_to_str
-from .lincomb import LinComb, _accumulate
+from .lincomb import LinComb, _accumulate, canonical
 from .pbw import NCPoly
 from .sugawara import ss_vectors
 from .diffop import Oper, irregularity
@@ -59,7 +59,7 @@ def _gbinom(top, k):
 
 def _field_mode(head, m, p):
     """The mode x[p - m] and coefficient (-1)^m binom(p, m) of (x[-m-1])_(p)."""
-    return Gen(head.i, head.j, p - m), Fraction((-1) ** (m % 2) * _gbinom(p, m))
+    return Gen(head.i, head.j, p - m), (-1) ** (m % 2) * _gbinom(p, m)
 
 
 class RootFunction:
@@ -178,7 +178,7 @@ def _vacuum_root_fn(n):
 
 
 class ModuleVector(LinComb):
-    """Finite rational combination of ordered creation monomials applied to v_0."""
+    """Finite exact combination of ordered creation monomials applied to v_0."""
 
     __slots__ = ()
 
@@ -186,16 +186,13 @@ class ModuleVector(LinComb):
 
     @classmethod
     def vacuum(cls):
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     def items(self):
         return sorted(
             self._terms.items(),
             key=lambda kv: (len(kv[0]), [gen_sort_key(g) for g in kv[0]]),
         )
-
-    def freeze(self):
-        return tuple(sorted(self._terms.items()))
 
     def __str__(self):
         if not self._terms:
@@ -237,9 +234,9 @@ def _state_words(state):
     elif isinstance(state, ModuleVector):
         words = dict(state._terms)
     elif isinstance(state, dict):
-        words = {tuple(w): Fraction(c) for w, c in state.items()}
+        words = {tuple(w): canonical(c) for w, c in state.items()}
     elif isinstance(state, (tuple, list)):
-        words = {tuple(state): Fraction(1)}
+        words = {tuple(state): 1}
     else:
         raise ValidationError(f"cannot interpret state {state!r}")
     for word in words:
@@ -312,12 +309,12 @@ class RootModule:
             return hit
         creation = self.is_creation(g)
         if not word:
-            result = {(g,): Fraction(1)} if creation else {}
+            result = {(g,): 1} if creation else {}
             self._act_cache[key] = result
             return result
         head = word[0]
         if creation and gen_sort_key(g) <= gen_sort_key(head):
-            result = {(g,) + word: Fraction(1)}
+            result = {(g,) + word: 1}
             self._act_cache[key] = result
             return result
         # g h = h g + [g, h]
@@ -406,27 +403,43 @@ class RootModule:
     def _fourier_word(self, word, s, vec, trace=None):
         """word_(s) vec by the field recursion in the module docstring.
 
+        word_(s) is linear in vec, so an untraced call expands it once per
+        unit monomial of ``vec`` (cached under ``(word, s, monomial)``) and
+        sums those tables with vec's coefficients: exact by linearity, and
+        each expansion is truncated by its own monomial's certified bounds.
+
         ``trace`` is ``(on_term, coeff, left, right)``: the coefficient of the
         path so far and the modes already placed left and right of this
         word's field.  A traced call reports to ``on_term`` every path that
         ends on the vacuum field at index -1, so it must visit each path: it
-        neither reads nor fills the cache.
+        expands ``vec`` whole and neither reads nor fills the cache.
         """
         if vec.is_zero():
             return ModuleVector.zero()
-        if trace:
-            on_term, coeff, left, right = trace
         if not word:
             if s != -1:
                 return ModuleVector.zero()
             if trace:
+                on_term, coeff, left, right = trace
                 on_term(left + right, coeff)
             return vec
-        if not trace:
-            key = (word, s, vec.freeze())
-            hit = self._fourier_cache.get(key)
-            if hit is not None:
-                return hit
+        if trace:
+            return ModuleVector._adopt(self._fourier_expand(word, s, vec, trace))
+        cache = self._fourier_cache
+        total = {}
+        for mono, c in vec._terms.items():
+            key = (word, s, mono)
+            table = cache.get(key)
+            if table is None:
+                unit = ModuleVector._adopt({mono: 1})
+                table = cache[key] = self._fourier_expand(word, s, unit)
+            _accumulate(total, table, c)
+        return ModuleVector._adopt(total)
+
+    def _fourier_expand(self, word, s, vec, trace=None):
+        """The table of word_(s) vec for a nonempty word and nonzero vec."""
+        if trace:
+            on_term, coeff, left, right = trace
         head, tail = word[0], word[1:]
         m = -head.u - 1
         total = {}
@@ -458,18 +471,10 @@ class RootModule:
             sub = trace and (on_term, coeff * c, left, (mode,) + right)
             inner = self._fourier_word(tail, s - p - 1, moved, sub)
             _accumulate(total, inner._terms, c)
-        result = ModuleVector._adopt(total)
-        if not trace:
-            self._fourier_cache[key] = result
-        return result
+        return total
 
 
 # -- module-level operations ---------------------------------------------
-
-
-def act_generator(g, vec, rf):
-    """One-shot generator action; build a RootModule for repeated use."""
-    return RootModule(rf).act(g, vec)
 
 
 def lemma_relations_bound(word, rf):
@@ -481,14 +486,6 @@ def lemma_relations_bound(word, rf):
         degrees += g.u
         depths += rf(g.i, g.j)
     return degrees >= depths
-
-
-def fourier_act(state, s, vec, rf, on_term=None):
-    return RootModule(rf).fourier_act(state, s, vec, on_term=on_term)
-
-
-def annihilation_bound(state, vec, rf):
-    return RootModule(rf).annihilation_bound(state, vec)
 
 
 def vacuum_module(n):
@@ -562,6 +559,10 @@ def vanishing_report(n, rf, scan_window=3):
     certified bound, the bound covering the rest), the smallest N in the
     scanned range above which everything vanishes, and a witness vector for
     the largest nonvanishing N seen.
+
+    Each l is scanned downward from the top of its range and stops at the
+    first nonzero cell: the largest nonvanishing N and its witness.  The
+    report reads no cell below it, so none is computed.
     """
     if rf.n != n:
         raise ValidationError("root function rank does not match n")
@@ -571,30 +572,29 @@ def vanishing_report(n, rf, scan_window=3):
     mod = RootModule(rf)
     vacuum = ModuleVector.vacuum()
 
-    cells = []
-    cell_meta = []
+    rows = []
     for ell in range(1, n + 1):
         thr = rf.threshold(ell)
         certified = mod.annihilation_bound(family.S[ell - 1], vacuum)
         if thr is None:
             thr = certified
-        lo = thr - scan_window
-        hi = max(certified, thr)  # explicit checks cover [lo, hi)
-        cell_meta.append((ell, thr, certified, lo, hi))
-        for N in range(lo, hi):
-            cells.append((ell, N))
+        hi = max(certified, thr)  # explicit checks cover [thr - window, hi)
+        rows.append((ell, thr, certified, thr - scan_window, hi))
 
-    def compute(cell):
-        ell, N = cell
-        return mod.fourier_act(family.S[ell - 1], N, vacuum)
+    def scan(row):
+        ell, _thr, _certified, lo, hi = row
+        for N in range(hi - 1, lo - 1, -1):
+            value = mod.fourier_act(family.S[ell - 1], N, vacuum)
+            if not value.is_zero():
+                return N, value
+        return None, None
 
-    workers = _workers_from_env(len(cells))
-    if workers > 1 and len(cells) > 1:
+    workers = _workers_from_env(len(rows))
+    if workers > 1 and len(rows) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(compute, cells))
+            found = list(pool.map(scan, rows))
     else:
-        values = [compute(cell) for cell in cells]
-    results = dict(zip(cells, values))
+        found = [scan(row) for row in rows]
 
     report = {
         "case": rf.describe(),
@@ -607,18 +607,13 @@ def vanishing_report(n, rf, scan_window=3):
         "witnesses": [],
         "witness_N": [],
     }
-    for ell, thr, certified, lo, hi in cell_meta:
-        ok = all(results[(ell, N)].is_zero() for N in range(thr, hi))
-        largest_bad = None
-        for N in range(lo, hi):
-            if not results[(ell, N)].is_zero():
-                largest_bad = N
-        observed = lo if largest_bad is None else largest_bad + 1
-        witness = None if largest_bad is None else results[(ell, largest_bad)]
+    for (ell, thr, certified, lo, hi), (largest_bad, witness) in zip(rows, found):
         report["thresholds_theoretical"].append(thr)
         report["certified_from"].append(certified)
-        report["verified"].append(ok)
-        report["observed_min_vanishing"].append(observed)
+        report["verified"].append(largest_bad is None or largest_bad < thr)
+        report["observed_min_vanishing"].append(
+            lo if largest_bad is None else largest_bad + 1
+        )
         report["witnesses"].append(None if witness is None else witness.to_json())
         report["witness_N"].append(largest_bad)
     return report

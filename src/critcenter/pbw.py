@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algebra import TAU, gen_from_str, gen_sort_key
 from .errors import DomainError, ValidationError
 from .laurent import scalar_from_str, scalar_to_str
-from .lincomb import LinComb, _accumulate
+from .lincomb import LinComb, _accumulate, canonical
 
 
 def _triangular_key(g):
@@ -36,8 +36,8 @@ _ORDER_KEYS = {"deglex": gen_sort_key, "triangular": _triangular_key}
 def _straighten(algebra, word, order="deglex"):
     """Normal form of a raw word (tuple over Gen and TAU tokens).
 
-    Returns a dict {(tau_power, gen_word): Fraction}.  Cached per algebra
-    and term order.
+    Returns a dict {(tau_power, gen_word): int or Fraction}.  Cached per
+    algebra and term order.
     """
     cache = algebra._straighten_cache.setdefault(order, {})
     hit = cache.get(word)
@@ -57,7 +57,7 @@ def _straighten(algebra, word, order="deglex"):
         k = 0
         while k < len(word) and word[k] is TAU:
             k += 1
-        result = {(k, tuple(word[k:])): Fraction(1)}
+        result = {(k, tuple(word[k:])): 1}
         cache[word] = result
         return result
 
@@ -71,7 +71,7 @@ def _straighten(algebra, word, order="deglex"):
             _accumulate(
                 out,
                 _straighten(algebra, head + (x.shifted(-1),) + tail, order),
-                Fraction(x.u),
+                x.u,
             )
     else:
         lie, central = algebra.bracket(x, y)
@@ -84,7 +84,7 @@ def _straighten(algebra, word, order="deglex"):
 
 
 class NCPoly(LinComb):
-    """A finite rational combination of normally ordered NC monomials."""
+    """A finite exact combination of normally ordered NC monomials."""
 
     __slots__ = ("algebra",)
 
@@ -94,12 +94,12 @@ class NCPoly(LinComb):
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for key, coeff in items:
-                coeff = Fraction(coeff)
+                coeff = canonical(coeff)
                 if not coeff:
                     continue
                 tau_pow, word = key
                 if _normal:
-                    contributions = {(tau_pow, tuple(word)): Fraction(1)}
+                    contributions = {(tau_pow, tuple(word)): 1}
                 else:
                     raw = (TAU,) * tau_pow + tuple(word)
                     contributions = _straighten(algebra, raw)
@@ -108,7 +108,7 @@ class NCPoly(LinComb):
 
     @classmethod
     def _adopt(cls, algebra, table):
-        """Wrap a table that is already normal, with nonzero Fraction values.
+        """Wrap a normal table whose values are int or Fraction, never zero.
 
         The polynomial takes ownership of ``table`` without copying or
         re-normalising it, so sums built in one dict stay linear.
@@ -125,19 +125,19 @@ class NCPoly(LinComb):
 
     @classmethod
     def one(cls, algebra):
-        return cls(algebra, {(0, ()): Fraction(1)}, _normal=True)
+        return cls(algebra, {(0, ()): 1}, _normal=True)
 
     @classmethod
     def generator(cls, algebra, gen):
-        return cls(algebra, {(0, (gen,)): Fraction(1)}, _normal=True)
+        return cls(algebra, {(0, (gen,)): 1}, _normal=True)
 
     @classmethod
     def tau(cls, algebra):
-        return cls(algebra, {(1, ()): Fraction(1)}, _normal=True)
+        return cls(algebra, {(1, ()): 1}, _normal=True)
 
     @classmethod
     def from_word(cls, algebra, word, coeff=1, tau_power=0):
-        return cls(algebra, {(tau_power, tuple(word)): Fraction(coeff)})
+        return cls(algebra, {(tau_power, tuple(word)): coeff})
 
     # -- queries -----------------------------------------------------------
 
@@ -153,7 +153,7 @@ class NCPoly(LinComb):
         )
 
     def coefficient(self, tau_power, word):
-        return self._terms.get((tau_power, tuple(word)), Fraction(0))
+        return self._terms.get((tau_power, tuple(word)), 0)
 
     def tau_component(self, tau_power):
         """The right coefficient of tau^k: sum of tau-free words at that power."""
@@ -261,12 +261,8 @@ def nc_normal_form(algebra, raw):
     """
     table = {}
     for coeff, word in raw:
-        _accumulate(table, _straighten(algebra, tuple(word)), Fraction(coeff))
+        _accumulate(table, _straighten(algebra, tuple(word)), canonical(coeff))
     return NCPoly._adopt(algebra, table)
-
-
-def nc_mul(p, q):
-    return p * q
 
 
 def hc_project(p):
@@ -310,11 +306,11 @@ class CommPoly(LinComb):
 
     @classmethod
     def one(cls):
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def symbol(cls, i, j, u):
-        return cls({((i, j, u),): Fraction(1)})
+        return cls({((i, j, u),): 1})
 
     def items(self):
         return sorted(self._terms.items())

@@ -157,6 +157,18 @@ def test_json_integers_are_validated(capsys, argv):
     assert json.loads(err)["error"] == "ValidationError"
 
 
+def test_undetermined_certificate_is_not_cyclic(capsys):
+    # Every entry is O(t^0), so each candidate's certificate determinant is
+    # zero up to its precision: nothing is certified and the search runs out.
+    unknown = {"terms": [], "precision": 0}
+    conn = {"rank": 2, "matrix": [[unknown, unknown], [unknown, unknown]]}
+    for command, payload in (("cyclic", conn), ("oper", {"connection": conn})):
+        code, out, err = _run(capsys, command, "--json", "--data", json.dumps(payload))
+        assert code == 2, command
+        assert out == ""
+        assert json.loads(err)["error"] == "CyclicVectorNotFoundError"
+
+
 def test_moyprasad_flags(capsys):
     code, out, _ = _run(
         capsys, "verify", "--case", "moyprasad", "--n", "2", "--m", "1",

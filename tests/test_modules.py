@@ -2,6 +2,7 @@
 
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,9 @@ from critcenter.algebra import Gen
 from critcenter.errors import DomainError, ValidationError
 from critcenter.modules import (
     ModuleVector,
+    RootFunction,
     RootModule,
     _gbinom,
-    act_generator,
-    annihilation_bound,
     conductor_irregularity_report,
     lemma_relations_bound,
     root_fn_constant,
@@ -71,7 +71,7 @@ def test_moy_prasad_thresholds():
 
 def test_act_annihilates_at_depth():
     rf = root_fn_constant(2, 1)
-    assert act_generator(Gen(1, 1, 1), V0, rf).is_zero()
+    assert RootModule(rf).act(Gen(1, 1, 1), V0).is_zero()
 
 
 def test_act_straightening_through_creation_factor():
@@ -250,7 +250,7 @@ def test_annihilation_bound_single_factor():
     for m in (1, 2, 3):
         rf = root_fn_constant(2, m)
         state = {(Gen(1, 2, -1),): 1}
-        assert annihilation_bound(state, V0, rf) == m
+        assert RootModule(rf).annihilation_bound(state, V0) == m
 
 
 def test_annihilation_bound_is_certified():
@@ -409,6 +409,37 @@ def test_generator_centrality_matches_full_sweep():
         assert not _central_by_full_sweep(state, n), (n, state)
 
 
+def test_fourier_act_is_the_weighted_sum_over_monomials():
+    # The Fourier cache holds unit monomials only.  On a vector with several
+    # monomials, non-unit coefficients and different creation shifts, the
+    # cached split must equal the weighted sum of unit results on a fresh
+    # module, and the uncached whole-vector expansion of a traced call.
+    for n in (2, 3, 4):
+        rf = root_fn_km0(n, 1)
+        family = ss_vectors(n)
+        mod = RootModule(rf)
+        vec = (
+            V0.scale(7)
+            + mod.act(Gen(2, 1, -1), V0).scale(-3)
+            + mod.act(Gen(n, 1, 0), mod.act(Gen(1, 2, -1), V0)).scale(Fraction(2, 5))
+        )
+        assert len(vec._terms) >= 3
+        for ell in range(1, n + 1):
+            state = family.S[ell - 1]
+            thr = rf.threshold(ell)
+            for N in range(thr - 2, thr + 2):  # two nonzero cells, two zero ones
+                split = mod.fourier_act(state, N, vec)
+                fresh = RootModule(rf)
+                weighted = {}
+                for mono, c in vec._terms.items():
+                    unit = ModuleVector({mono: 1})
+                    for key, d in fresh.fourier_act(state, N, unit)._terms.items():
+                        weighted[key] = weighted.get(key, 0) + c * d
+                assert split == ModuleVector(weighted), (n, ell, N)
+                whole = mod.fourier_act(state, N, vec, on_term=lambda *path: None)
+                assert split == whole, (n, ell, N)
+
+
 def test_repeated_actions_never_mutate_cached_tables():
     # Sums accumulate in place into fresh dicts; a cached result handed back
     # by act or fourier_act must come out unchanged however often it is
@@ -426,16 +457,16 @@ def test_repeated_actions_never_mutate_cached_tables():
         shifted = [module.fourier_act(family.S[ell - 1], N, vec) for ell, N in cells]
         return acted + scanned + shifted
 
-    first = [v.freeze() for v in run(mod)]
+    first = [dict(v._terms) for v in run(mod)]
     act_snapshot = {k: dict(v) for k, v in mod._act_cache.items()}
-    fourier_snapshot = {k: v.freeze() for k, v in mod._fourier_cache.items()}
+    fourier_snapshot = {k: dict(v) for k, v in mod._fourier_cache.items()}
     for _ in range(2):
-        assert [v.freeze() for v in run(mod)] == first
-    assert [v.freeze() for v in run(RootModule(rf))] == first
+        assert [dict(v._terms) for v in run(mod)] == first
+    assert [dict(v._terms) for v in run(RootModule(rf))] == first
     for key, table in act_snapshot.items():
         assert mod._act_cache[key] == table
-    for key, frozen in fourier_snapshot.items():
-        assert mod._fourier_cache[key].freeze() == frozen
+    for key, table in fourier_snapshot.items():
+        assert mod._fourier_cache[key] == table
 
 
 def test_centrality_on_module_vectors():
@@ -531,6 +562,68 @@ def test_observed_min_vanishing_matches_thresholds_on_grid():
         assert all(N is not None for N in report["witness_N"])
 
 
+def _full_grid_report(n, rf, scan_window):
+    """The report from every cell of [thr - window, hi), computed upward.
+
+    Also returns which kinds of row occurred: every scanned cell zero, every
+    scanned cell nonzero, zero cells above a nonzero one, and unverified.
+    """
+    family = ss_vectors(n)
+    mod = RootModule(rf)
+    report = {
+        "case": rf.describe(), "n": n, "scan_window": scan_window,
+        "thresholds_theoretical": [], "certified_from": [], "verified": [],
+        "observed_min_vanishing": [], "witnesses": [], "witness_N": [],
+    }
+    kinds = set()
+    for ell in range(1, n + 1):
+        state = family.S[ell - 1]
+        thr = rf.threshold(ell)
+        certified = mod.annihilation_bound(state, V0)
+        if thr is None:
+            thr = certified
+        lo, hi = thr - scan_window, max(certified, thr)
+        values = {N: mod.fourier_act(state, N, V0) for N in range(lo, hi)}
+        bad = [N for N in range(lo, hi) if not values[N].is_zero()]
+        largest_bad = bad[-1] if bad else None
+        if not bad:
+            kinds.add("all zero")
+        elif len(bad) == hi - lo:
+            kinds.add("none zero")
+        elif largest_bad < hi - 1:
+            kinds.add("zeros above")
+        if bad and largest_bad >= thr:
+            kinds.add("unverified")
+        report["thresholds_theoretical"].append(thr)
+        report["certified_from"].append(certified)
+        report["verified"].append(all(values[N].is_zero() for N in range(thr, hi)))
+        report["observed_min_vanishing"].append(lo if not bad else largest_bad + 1)
+        report["witnesses"].append(values[largest_bad].to_json() if bad else None)
+        report["witness_N"].append(largest_bad)
+    return report, kinds
+
+
+def test_downward_scan_matches_full_grid():
+    cases = [(n, rf) for n in (1, 2, 3) for rf in (
+        root_fn_km0(n, 1), root_fn_km0(n, 2), root_fn_constant(n, 1),
+        root_fn_moy_prasad(n, [0] * n, Fraction(1, 2)),
+    )]
+    cases += [(2, root_fn_moy_prasad(2, [Fraction(1, 2), 0], 0)), (4, root_fn_km0(4, 1))]
+    # Depth 2 everywhere (true thresholds 2l) but claiming the km0 m=1
+    # thresholds l, so cells at and above the claimed threshold survive.
+    depth_two = {(i, j): 2 for i in (1, 2) for j in (1, 2)}
+    cases.append((2, RootFunction(2, depth_two, "km0", {"m": 1})))
+    kinds = set()
+    for n, rf in cases:
+        for window in range(4):
+            expected, seen = _full_grid_report(n, rf, window)
+            assert vanishing_report(n, rf, scan_window=window) == expected, (
+                rf.describe(), window,
+            )
+            kinds |= seen
+    assert kinds == {"all zero", "none zero", "zeros above", "unverified"}
+
+
 def test_vanishing_report_deterministic_and_parallel():
     rf = root_fn_km0(2, 1)
     base = vanishing_report(2, rf, scan_window=2)
@@ -540,6 +633,23 @@ def test_vanishing_report_deterministic_and_parallel():
     finally:
         del os.environ["CRITCENTER_WORKERS"]
     assert base == parallel
+
+
+def test_parallel_scan_under_fast_thread_switching(monkeypatch):
+    # The per-l scans share one module and its caches.  With more threads
+    # than cores and a tiny switch interval the report must still equal the
+    # sequential one.
+    rf = root_fn_km0(4, 1)
+    monkeypatch.setenv("CRITCENTER_WORKERS", "1")
+    sequential = vanishing_report(4, rf, scan_window=3)
+    monkeypatch.setenv("CRITCENTER_WORKERS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = vanishing_report(4, rf, scan_window=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == sequential
 
 
 def test_conductor_irregularity_report():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from critcenter.algebra import TAU, AffineAlgebra, Gen, gen_sort_key
+from critcenter.algebra import TAU, AffineAlgebra, BilinearForm, Gen, bracket, gen_sort_key
 from critcenter.errors import DomainError
-from critcenter.modules import ModuleVector
+from critcenter.modules import ModuleVector, RootModule, root_fn_km0
 from critcenter.pbw import CommPoly, NCPoly, hc_project, nc_normal_form, symbol
 from critcenter.sugawara import ss_vectors
 
@@ -252,7 +252,7 @@ _terms = st.lists(
 def test_cancelling_sums_store_no_zero(a_terms, b_terms, cancel, tau_pow):
     # b repeats the first `cancel` terms of a with opposite signs, so a + b
     # cancels them; the sum must match the public constructor on the merged
-    # terms and hold only nonzero Fractions.
+    # terms and hold only nonzero scalars in canonical form.
     b_terms = b_terms + [(w, -c) for w, c in a_terms[:cancel]]
     alg = _alg(2)
 
@@ -271,4 +271,39 @@ def test_cancelling_sums_store_no_zero(a_terms, b_terms, cancel, tau_pow):
         for total, expected in ((a + b, merged), (a - a, a.scale(0)), (a + b - b, a)):
             assert total == expected
             assert hash(total) == hash(expected)
-            assert all(type(c) is Fraction and c for c in total._terms.values())
+            _assert_canonical(total)
+            _assert_canonical(expected)
+        for scalar in (Fraction(4), Fraction(1, 2), -3):
+            _assert_canonical(a.scale(scalar))
+
+
+def _assert_canonical(combination):
+    # Every value is an int, or a Fraction that is not integral; never zero.
+    for c in combination._terms.values():
+        assert c
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def test_non_integral_level_keeps_exact_fractions():
+    # At the critical level every central term is an integer; at level 1/3
+    # the bracket, straightening and module action must carry Fractions.
+    x, y = Gen(1, 2, 1), Gen(2, 1, -1)
+    assert type(bracket(x, y, BilinearForm.critical(2))[1]) is int
+    form = BilinearForm(2, Fraction(1, 3))
+    lie, central = bracket(x, y, form)
+    assert lie == [(Gen(1, 1, 0), 1), (Gen(2, 2, 0), -1)]
+    assert central == Fraction(4, 3) and type(central) is Fraction
+
+    alg = AffineAlgebra(2, form)
+    p = nc_normal_form(alg, [(1, (x, y))])
+    expected = {(y, x): 1, (Gen(1, 1, 0),): 1, (Gen(2, 2, 0),): -1, (): Fraction(4, 3)}
+    assert p == NCPoly(alg, {(0, w): c for w, c in expected.items()})
+    _assert_canonical(p)
+    scaled = p.scale(Fraction(3, 4))  # the constant term becomes the int 1
+    assert scaled.coefficient(0, ()) == 1
+    _assert_canonical(scaled)
+
+    mod = RootModule(root_fn_km0(2, 1), level=Fraction(1, 3))
+    v = mod.act(x, mod.act(y, ModuleVector.vacuum()))
+    assert v == ModuleVector({(Gen(1, 1, 0),): 1, (Gen(2, 2, 0),): -1, (): Fraction(4, 3)})
+    _assert_canonical(v)
