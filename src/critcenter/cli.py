@@ -204,8 +204,21 @@ def _add_payload_flags(sub):
     sub.add_argument("--data", help="inline JSON payload")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are validation errors.
+
+    argparse reports a bad or missing argument through ``error``, which
+    prints the usage text and exits 2; here it raises instead, so ``run``
+    prints the structured error JSON.  ``--help`` and ``--version`` exit
+    through ``exit`` and keep their output.  Subparsers share this class.
+    """
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="critcenter",
         description="Exact Sugawara vectors, root-module actions, and the "
         "oper/irregularity calculus for affine gl_n at the critical level.",
@@ -278,8 +291,8 @@ def build_parser():
 
 def run(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except CritCenterError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

@@ -25,10 +25,17 @@ recursion
     (x[-m-1] B)_(s) v = sum_{p <= -1} c_p x[p-m] (B_(s-p-1) v)
                       + sum_{p >= 0} c_p B_(s-p-1) (x[p-m] v),
 
-with c_p the coefficient above.  Both sums are truncated by certified
-annihilation bounds derived from the basic vanishing rule: a word
-x_{n_1} ... x_{n_k} kills v_0 whenever sum n_i >= sum r(alpha_i).  Every
-truncation is certified, never heuristic, so reported zeroes are exact.
+with c_p the coefficient above.  The recursion reads B only through its
+modes B_(s), so B may be any product expression: a word, or a node of the
+first-column minor table of cdet(tau + E[-1]) (``sugawara.ss_nodes``), a
+sum of terms coef * x[-m-1] * child whose children are nodes again.  The
+vanishing scan reads each S_l from its node and never straightens it into
+PBW words; the straightened S_l is the test oracle.
+
+Both sums are truncated by certified annihilation bounds derived from the
+basic vanishing rule: a word x_{n_1} ... x_{n_k} kills v_0 whenever
+sum n_i >= sum r(alpha_i).  Every truncation is certified, never heuristic,
+so reported zeroes are exact.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from .errors import DomainError, ValidationError
 from .laurent import LaurentElement, scalar_from_str, scalar_to_str
 from .lincomb import LinComb, _accumulate, canonical
 from .pbw import NCPoly
-from .sugawara import ss_vectors
+from .sugawara import MinorNode, ss_nodes, ss_vectors
 from .diffop import Oper, irregularity
 
 
@@ -227,6 +234,13 @@ class ModuleVector(LinComb):
         return cls(terms)
 
 
+def _field_states(state):
+    """A state for the field recursion: {word: coeff}, or {node: 1} for a MinorNode."""
+    if type(state) is MinorNode:
+        return {state: 1}
+    return _state_words(state)
+
+
 def _state_words(state):
     """Normalize a state to {word: coeff}; words must have negative degrees."""
     if isinstance(state, NCPoly):
@@ -265,6 +279,8 @@ class RootModule:
         self.algebra = AffineAlgebra(rf.n, BilinearForm(rf.n, level))
         self._act_cache = {}
         self._fourier_cache = {}
+        self._move_cache = {}
+        self._depths = {}
         # The basic vanishing rule (degree sum >= depth sum kills v_0) needs
         # positive diagonal depths: a central contraction removes a pair of
         # opposite factors of total degree zero and total depth at least
@@ -284,12 +300,7 @@ class RootModule:
 
     def creation_shift(self, vec):
         """max over monomials of sum (r(i,j) - u) over factors; 0 for v_0."""
-        best = 0
-        for word in vec._terms:
-            best = max(
-                best, sum(self.rf(g.i, g.j) - g.u for g in word)
-            )
-        return best
+        return max(0, max(map(self._depth, vec._terms), default=0))
 
     # -- generator action --------------------------------------------------
 
@@ -348,6 +359,21 @@ class RootModule:
 
     # -- certified annihilation bounds --------------------------------------
 
+    def _depth(self, word):
+        """sum (r(i,j) - u) over a word's factors, or W(node) for a MinorNode."""
+        depth = self._depths.get(word)
+        if depth is None:
+            if type(word) is MinorNode:
+                depth = max(
+                    self._depth(child)
+                    + (0 if head is None else self.rf(head.i, head.j) - head.u)
+                    for _coef, head, child in word.terms
+                )
+            else:
+                depth = sum(self.rf(g.i, g.j) - g.u for g in word)
+            self._depths[word] = depth
+        return depth
+
     def word_annihilation_bound(self, word, vec):
         """Certified N with word_(s) vec = 0 for all s >= N.
 
@@ -359,23 +385,27 @@ class RootModule:
         sharpens by one the naive per-factor count, which is not a valid
         bound: reordering corrections inside a field expansion can land
         exactly on the boundary.
+
+        ``word`` may also be a MinorNode.  Its depth W is the largest, over
+        its terms (coef, head, child), of r(head) - u(head) + W(child), where
+        a tau term counts as W(child) and W(()) = 0.  Expanding the node's
+        products gives words head * w with w a word of the child, so by
+        induction every word of the node has sum (r - u) <= W.  The node's
+        field is the sum of its words' fields, so W - 1 + shift(vec) bounds
+        each nonempty word by the argument above, and hence the node.  A
+        node with W = 0 reaches () through tau terms only: it is a multiple
+        of the vacuum, of degree 0, and acts only at s = -1.
         """
-        if vec.is_zero():
-            return 0
-        if not word:
+        if vec.is_zero() or not word:
             return 0  # the vacuum field is the identity: only s = -1 acts
-        shift = self.creation_shift(vec)
-        return (
-            sum(self.rf(g.i, g.j) for g in word)
-            - sum(g.u for g in word)
-            - 1
-            + shift
-            + self._lemma_slack
-        )
+        depth = self._depth(word)
+        if not depth:
+            return 0
+        return depth - 1 + self.creation_shift(vec) + self._lemma_slack
 
     def annihilation_bound(self, state, vec):
         """Certified N with state_(s) vec = 0 for all s >= N."""
-        words = _state_words(state)
+        words = _field_states(state)
         if not words:
             return 0
         return max(self.word_annihilation_bound(w, vec) for w in words)
@@ -389,13 +419,14 @@ class RootModule:
     def fourier_act(self, state, s, vec, on_term=None):
         """The s-th Fourier coefficient of the field of a state, applied to vec.
 
-        ``on_term`` (optional) receives, for every surviving expansion path,
-        the operator word as a tuple of (generator index pair, mode) entries
-        in left-to-right operator order, together with its coefficient.
+        ``state`` is a state as ``_state_words`` reads it, or a MinorNode of
+        ``sugawara.ss_nodes``.  ``on_term`` (optional) receives, for every
+        surviving expansion path, the operator word as a tuple of (generator
+        index pair, mode) entries in left-to-right operator order, together
+        with its coefficient.
         """
-        words = _state_words(state)
         table = {}
-        for word, c in words.items():
+        for word, c in _field_states(state).items():
             trace = None if on_term is None else (on_term, c, (), ())
             _accumulate(table, self._fourier_word(word, s, vec, trace)._terms, c)
         return ModuleVector._adopt(table)
@@ -403,10 +434,11 @@ class RootModule:
     def _fourier_word(self, word, s, vec, trace=None):
         """word_(s) vec by the field recursion in the module docstring.
 
-        word_(s) is linear in vec, so an untraced call expands it once per
-        unit monomial of ``vec`` (cached under ``(word, s, monomial)``) and
-        sums those tables with vec's coefficients: exact by linearity, and
-        each expansion is truncated by its own monomial's certified bounds.
+        ``word`` is a word or a MinorNode.  word_(s) is linear in vec, so an
+        untraced call expands it once per unit monomial of ``vec`` (cached
+        under ``(word, s, monomial)``) and sums those tables with vec's
+        coefficients: exact by linearity, and each expansion is truncated by
+        its own monomial's certified bounds.
 
         ``trace`` is ``(on_term, coeff, left, right)``: the coefficient of the
         path so far and the modes already placed left and right of this
@@ -437,41 +469,66 @@ class RootModule:
         return ModuleVector._adopt(total)
 
     def _fourier_expand(self, word, s, vec, trace=None):
-        """The table of word_(s) vec for a nonempty word and nonzero vec."""
+        """The table of word_(s) vec for a nonempty word or a node, and nonzero vec.
+
+        A node is the sum of its terms (coef, head, child): the product state
+        coef * head * child, or coef * child for a tau term (head None).  A
+        word is the one-term state (1, word[0], word[1:]).  An untraced call
+        gets a unit ``vec``.
+        """
         if trace:
             on_term, coeff, left, right = trace
-        head, tail = word[0], word[1:]
-        m = -head.u - 1
+        mono = None if trace else next(iter(vec._terms))
+        terms = word.terms if type(word) is MinorNode else ((1, word[0], word[1:]),)
         total = {}
-        # creation side: p <= -1, head mode p - m applied after the tail field
-        if tail:
-            tail_bound = self.word_annihilation_bound(tail, vec)
-            lo = s - tail_bound
-        else:
-            lo = s  # the vacuum field only acts at index -1
-        for p in range(lo, 0):
-            sub = None
-            if trace:
+        for coef, head, tail in terms:
+            if head is None:
+                sub = trace and (on_term, coeff * coef, left, right)
+                _accumulate(total, self._fourier_word(tail, s, vec, sub)._terms, coef)
+                continue
+            m = -head.u - 1
+            # creation side: p <= -1, head mode p - m applied after the tail field
+            for p in range(s - self.word_annihilation_bound(tail, vec), 0):
+                sub = None
+                if trace:
+                    mode, c = _field_mode(head, m, p)
+                    sub = (on_term, coeff * coef * c, left + (mode,), right)
+                inner = self._fourier_word(tail, s - p - 1, vec, sub)
+                if inner.is_zero():
+                    continue
                 mode, c = _field_mode(head, m, p)
-                sub = (on_term, coeff * c, left + (mode,), right)
-            inner = self._fourier_word(tail, s - p - 1, vec, sub)
-            if inner.is_zero():
-                continue
-            mode, c = _field_mode(head, m, p)
-            _accumulate(total, self.act(mode, inner)._terms, c)
-        # annihilation side: p >= m (binomial vanishes below), head acts first
-        hi = m + self.generator_annihilation_degree(head, vec)
-        for p in range(m, hi):
-            mode, c = _field_mode(head, m, p)
-            if not c:
-                continue
-            moved = self.act(mode, vec)
-            if moved.is_zero():
-                continue
-            sub = trace and (on_term, coeff * c, left, (mode,) + right)
-            inner = self._fourier_word(tail, s - p - 1, moved, sub)
-            _accumulate(total, inner._terms, c)
+                _accumulate(total, self.act(mode, inner)._terms, coef * c)
+            # annihilation side: p >= m, head acts first
+            for p, c, mode, moved in self._moves(head, vec, mono):
+                sub = trace and (on_term, coeff * coef * c, left, (mode,) + right)
+                inner = self._fourier_word(tail, s - p - 1, moved, sub)
+                _accumulate(total, inner._terms, coef * c)
         return total
+
+    def _moves(self, head, vec, mono=None):
+        """The annihilation side of head's field on vec, as (p, c_p, mode, mode.vec).
+
+        These are the modes x[p - m] for m <= p < m + J, with J from
+        ``generator_annihilation_degree`` (the binomial vanishes below m),
+        that do not kill vec.  They depend on neither s nor the rest of the
+        state, so when vec is the unit monomial ``mono`` they are cached
+        under ``(head, mono)``.
+        """
+        if mono is not None:
+            hit = self._move_cache.get((head, mono))
+            if hit is not None:
+                return hit
+        m = -head.u - 1
+        moves = []
+        for p in range(m, m + self.generator_annihilation_degree(head, vec)):
+            mode, c = _field_mode(head, m, p)
+            moved = self.act(mode, vec)
+            if not moved.is_zero():
+                moves.append((p, c, mode, moved))
+        moves = tuple(moves)
+        if mono is not None:
+            self._move_cache[head, mono] = moves
+        return moves
 
 
 # -- module-level operations ---------------------------------------------
@@ -501,15 +558,27 @@ def state_is_central(state, n):
     """Exact membership test for the centre of the vacuum vertex algebra.
 
     A state lies in the centre iff gl_n[t] kills it, i.e. e_ij[u] kills it
-    for every u >= 0.  It suffices to check the 2n - 1 Lie generators
-    e_{i,i+1}[0], e_{i+1,i}[0] (1 <= i < n) and e_{n,1}[1]:
+    for every u >= 0.  It suffices that every monomial of the state vector
+    has gl_n-weight 0 and that the n generators e_{i,i+1}[0] (1 <= i < n)
+    and e_{n,1}[1] kill it:
 
+    * Weight.  e_ii[0] kills v_0 and acts on a creation monomial by its
+      weight, the count of factors with row i minus those with column i.
+      The monomials are a basis, so a monomial of nonzero weight means some
+      e_ii[0] does not kill the vector, and it is not central.
+    * n_-[0].  Each graded piece of the vacuum module is a finite-dimensional
+      sl_n-module, and the vector lies in finitely many of them.  A vector of
+      weight 0 that n_+[0] kills (the e_{i,i+1}[0] generate n_+) generates a
+      finite-dimensional highest-weight module of highest weight 0.  That
+      module is a quotient of the Verma module, semisimple by Weyl's theorem
+      and generated by one highest-weight vector, so it is irreducible: the
+      trivial module.  So n_-[0] kills the vector too, and with the Cartan
+      part, sl_n[0] does.
     * The annihilator of a vector is a Lie subalgebra, since
       [x, y] v = x (y v) - y (x v).
-    * The generators generate sl_n[t]: the e_{i,i+1}[0], e_{i+1,i}[0]
-      generate sl_n; the adjoint sl_n-module sl_n t is irreducible and
-      contains e_{n,1}[1], so it is generated; and [sl_n t, sl_n t^k] =
-      sl_n t^(k+1) because [sl_n, sl_n] = sl_n.
+    * sl_n and e_{n,1}[1] generate sl_n[t]: the adjoint sl_n-module sl_n t
+      is irreducible and contains e_{n,1}[1], so it is generated; and
+      [sl_n t, sl_n t^k] = sl_n t^(k+1) because [sl_n, sl_n] = sl_n.
     * No central term arises on the way: the cocycle of e_ij[a], e_kl[b]
       carries the factor b d_{a+b,0}, which vanishes for a, b >= 0.
     * gl_n[t] = sl_n[t] + I[t], and each I[u], u >= 0, kills every vector:
@@ -525,19 +594,23 @@ def state_is_central(state, n):
     for w, c in words.items():
         _accumulate(table, mod.act_word(w, ModuleVector.vacuum())._terms, c)
     vec = ModuleVector._adopt(table)
-    generators = [Gen(n, 1, 1)]
-    for i in range(1, n):
-        generators += [Gen(i, i + 1, 0), Gen(i + 1, i, 0)]
+    for word in vec._terms:
+        weight = [0] * (n + 1)
+        for g in word:
+            weight[g.i] += 1
+            weight[g.j] -= 1
+        if any(weight):
+            return False
+    generators = [Gen(i, i + 1, 0) for i in range(1, n)] + [Gen(n, 1, 1)]
     return all(mod.act(g, vec).is_zero() for g in generators)
 
 
 def ss_operator_act(n, ell, N, rf, module=None):
-    """Apply the N-th Fourier coefficient of S_l to the highest vector."""
+    """Apply the N-th Fourier coefficient of S_l, from its node, to v_0."""
     if not 1 <= ell <= n:
         raise ValidationError(f"component index {ell} out of range 1..{n}")
-    family = ss_vectors(n)
     mod = module if module is not None else RootModule(rf)
-    return mod.fourier_act(family.S[ell - 1], N, ModuleVector.vacuum())
+    return mod.fourier_act(ss_nodes(n)[ell - 1], N, ModuleVector.vacuum())
 
 
 def _workers_from_env(cells):
@@ -562,13 +635,16 @@ def vanishing_report(n, rf, scan_window=3):
 
     Each l is scanned downward from the top of its range and stops at the
     first nonzero cell: the largest nonvanishing N and its witness.  The
-    report reads no cell below it, so none is computed.
+    report reads no cell below it, so none is computed.  Cells are read from
+    S_l's node in the minor table (``sugawara.ss_nodes``); ``certified_from``
+    is the certified bound of the straightened S_l.
     """
     if rf.n != n:
         raise ValidationError("root function rank does not match n")
     if scan_window < 0:
         raise ValidationError(f"scan window must be nonnegative, got {scan_window}")
     family = ss_vectors(n)
+    nodes = ss_nodes(n)
     mod = RootModule(rf)
     vacuum = ModuleVector.vacuum()
 
@@ -584,7 +660,7 @@ def vanishing_report(n, rf, scan_window=3):
     def scan(row):
         ell, _thr, _certified, lo, hi = row
         for N in range(hi - 1, lo - 1, -1):
-            value = mod.fourier_act(family.S[ell - 1], N, vacuum)
+            value = mod.fourier_act(nodes[ell - 1], N, vacuum)
             if not value.is_zero():
                 return N, value
         return None, None

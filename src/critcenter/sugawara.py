@@ -16,12 +16,37 @@ change the result by straightening corrections; only the column-ordered
 product (equivalently, any column relabelling of it; the matrix tau + E[-1]
 is column-commutative) produces vectors that commute with the full action of
 gl_n[t] on the vacuum module.
+
+The scan reads each S_l's Fourier modes from a second, unstraightened form of
+the same determinant: the memoised table of its first-column minors.  Let
+F[R] be the column determinant of the rows R and the last |R| columns
+c = n - |R| + 1, ..., n, so F[{1..n}] = cdet(tau + E[-1]) and F[empty] = 1,
+and write F[R] = sum_J tau^J F[R, J] with tau on the left, as above.
+Expanding along column c gives F[R] = sum (-1)^k a_{ic} F[R - i] over the
+k-th row i of R (k from 0), with a_{ic} = [i=c] tau + e_ic[-1].  To move tau
+left past e_ic[-1], write delta(x[r]) = r x[r-1], so x tau = tau x + delta(x)
+and, by induction on j,
+
+    x tau^j = sum_k binom(j, k) tau^{j-k} delta^k(x),
+    delta^q(x[-1]) = (-1)^q q! x[-1-q].
+
+Collecting the coefficient of tau^J:
+
+    F[R, J] = sum_{k-th i in R} (-1)^k ( [i=c] F[R - i, J - 1]
+              + sum_{q>=0} binom(J+q, q) (-1)^q q! e_ic[-1-q] F[R - i, J + q] ),
+
+with F[empty, 0] = 1 and S_l = F[{1..n}, n - l].  Each F[R, J] is a
+MinorNode: a sum of terms (coef, head, child), the product state
+coef * head * child (head None for the tau term), kept as written because
+the field of a product state is the normally ordered product of its factors'
+fields, whatever the factors are.  Nothing is straightened.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb, factorial
 
 from .algebra import AffineAlgebra, Gen
 from .errors import ValidationError
@@ -65,6 +90,61 @@ def cdet(matrix):
             term = term * matrix[perm[col]][col]
         _accumulate(table, term._terms, _perm_sign(perm))
     return NCPoly._adopt(algebra, table)
+
+
+class MinorNode:
+    """One coefficient F[R, J] of the first-column minor table of cdet(tau + E[-1]).
+
+    ``terms`` is a tuple of ``(coef, head, child)``: ``head`` is a generator
+    e_ic[-1-q], or None for the tau term, and ``child`` is a MinorNode or the
+    empty word ``()`` for F[empty, 0] = 1, the vacuum.  Nodes compare and hash
+    by identity, so a node is never equal to a word, and a finished node is
+    never mutated.
+    """
+
+    __slots__ = ("rows", "power", "terms")
+
+    def __init__(self, rows, power, terms):
+        self.rows = rows
+        self.power = power
+        self.terms = terms
+
+    def __repr__(self):
+        return f"F[{set(self.rows) or '{}'}, {self.power}]"
+
+
+_minor_cache = {}
+
+
+def ss_nodes(n):
+    """S_1..S_n as nodes of the memoised first-column minor table (module docstring)."""
+    if n < 1:
+        raise ValidationError("rank must be at least 1")
+    cached = _minor_cache.get(n)
+    if cached is not None:
+        return cached
+    table = {((), 0): ()}
+    for size in range(1, n + 1):
+        c = n - size + 1
+        for rows in combinations(range(1, n + 1), size):
+            for power in range(size + 1):
+                terms = []
+                for k, i in enumerate(rows):
+                    sign = -1 if k % 2 else 1
+                    rest = rows[:k] + rows[k + 1 :]
+                    if i == c and (rest, power - 1) in table:
+                        terms.append((sign, None, table[rest, power - 1]))
+                    for q in range(size - power):
+                        child = table.get((rest, power + q))
+                        if child is not None:
+                            coef = sign * (-1) ** q * comb(power + q, q) * factorial(q)
+                            terms.append((coef, Gen(i, c, -1 - q), child))
+                if terms:
+                    table[rows, power] = MinorNode(rows, power, tuple(terms))
+    full = tuple(range(1, n + 1))
+    nodes = tuple(table[full, n - ell] for ell in range(1, n + 1))
+    _minor_cache[n] = nodes
+    return nodes
 
 
 class SSFamily:
@@ -175,8 +255,6 @@ def commutative_char_poly_coefficients(n):
     lambda^{n-l}) is the sum of the principal l x l minors.  Used as the
     independent reference for the top symbols of the S_l.
     """
-    from itertools import combinations
-
     return [
         CommPoly(
             ([(rows[r], rows[perm[r]], -1) for r in range(ell)], _perm_sign(perm))

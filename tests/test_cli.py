@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from critcenter import __version__
 from critcenter.cli import run
 from critcenter.diffop import Connection, Oper
 from critcenter.laurent import LaurentElement as L
@@ -232,3 +233,41 @@ def test_missing_file_is_validation_error(capsys):
     code, _out, err = _run(capsys, "irr", "--in", "/nonexistent/path.json")
     assert code == 2
     assert json.loads(err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a payload starting with "-" is read as an option
+        ["irr", "--json", "--data", "-1e+16"],
+        ["ss", "--n", "x"],
+        ["ss"],
+        ["verify", "--case", "bogus", "--n", "2"],
+        ["verify", "--case", "km0"],
+        ["ss", "--n", "2", "--bogus"],
+        ["bogus"],
+        [],
+    ],
+)
+def test_usage_errors_are_structured(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    error = json.loads(lines[0])
+    assert error["error"] == "ValidationError"
+    assert error["message"].startswith("critcenter")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ss", "--help"], ["--version"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out and not captured.err
+    if argv == ["--version"]:
+        assert captured.out.strip() == __version__
+    else:
+        assert captured.out.startswith("usage: critcenter")

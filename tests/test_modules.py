@@ -25,7 +25,7 @@ from critcenter.modules import (
     vanishing_report,
 )
 from critcenter.pbw import NCPoly
-from critcenter.sugawara import ss_vectors
+from critcenter.sugawara import ss_nodes, ss_vectors
 
 V0 = ModuleVector.vacuum()
 
@@ -622,6 +622,62 @@ def test_downward_scan_matches_full_grid():
             )
             kinds |= seen
     assert kinds == {"all zero", "none zero", "zeros above", "unverified"}
+
+
+def test_minor_table_modes_match_straightened_oracle():
+    # Every scanned cell read from the minor table equals the straightened
+    # S_l's Fourier mode.  Both run on one module, so a node cache entry that
+    # collided with a word's would be read back by the other side.
+    cases = [
+        (n, rf)
+        for n in (1, 2, 3, 4)
+        for rf in (
+            root_fn_km0(n, 1), root_fn_km0(n, 2),
+            root_fn_constant(n, 1), root_fn_constant(n, 2),
+        )
+    ]
+    cases += [
+        (n, root_fn_moy_prasad(n, [Fraction(1, 2)] + [0] * (n - 1), 0)) for n in (2, 3, 4)
+    ]
+    cases.append((5, root_fn_km0(5, 1)))
+    cells = nonzero = 0
+    for n, rf in cases:
+        family, nodes = ss_vectors(n), ss_nodes(n)
+        mod = RootModule(rf)
+        for ell in range(1, n + 1):
+            S, node = family.S[ell - 1], nodes[ell - 1]
+            thr = rf.threshold(ell)
+            certified = mod.annihilation_bound(S, V0)
+            for N in range(thr - 3, max(certified, thr)):
+                expected = mod.fourier_act(S, N, V0)
+                assert mod.fourier_act(node, N, V0) == expected, (rf.describe(), ell, N)
+                cells += 1
+                nonzero += not expected.is_zero()
+            # the node's certified bound holds for the straightened S_l too
+            top = mod.annihilation_bound(node, V0)
+            assert mod.fourier_act(S, top, V0).is_zero()
+            assert mod.fourier_act(node, top, V0).is_zero()
+            assert mod.fourier_act(node, top - 1, V0) == mod.fourier_act(S, top - 1, V0)
+    assert cells > 200 and 0 < nonzero < cells
+
+
+def test_node_modes_on_shifted_vectors_and_traced():
+    # Nodes act on any vector, split per monomial like words, and a traced
+    # call (whole vector, no cache) gives the same result.
+    n, rf = 3, root_fn_km0(3, 1)
+    family, nodes = ss_vectors(n), ss_nodes(n)
+    mod = RootModule(rf)
+    vec = mod.act(Gen(3, 1, 0), V0).scale(2) + mod.act(Gen(2, 1, -1), V0) - V0
+    for ell in (1, 2, 3):
+        for N in range(-1, 4):
+            expected = RootModule(rf).fourier_act(family.S[ell - 1], N, vec)
+            assert mod.fourier_act(nodes[ell - 1], N, vec) == expected, (ell, N)
+            paths = []
+            traced = mod.fourier_act(
+                nodes[ell - 1], N, vec, on_term=lambda w, c: paths.append(c)
+            )
+            assert traced == expected, (ell, N)
+            assert all(paths)
 
 
 def test_vanishing_report_deterministic_and_parallel():

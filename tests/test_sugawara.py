@@ -12,11 +12,13 @@ from critcenter.laurent import LaurentElement as L
 from critcenter.modules import state_is_central
 from critcenter.pbw import NCPoly, hc_project
 from critcenter.sugawara import (
+    MinorNode,
     cartan_evaluate,
     cdet,
     central_character,
     check_row_property,
     commutative_char_poly_coefficients,
+    ss_nodes,
     ss_vectors,
 )
 from critcenter.diffop import Oper
@@ -214,3 +216,61 @@ def test_family_json_shape():
     assert data["row_property"] == [True, True]
     assert len(data["S"]) == len(data["omega"]) == 2
     assert data["S"][0][0]["coeff"] == "1"
+
+
+def _expand_node(node, alg, memo):
+    """A minor-table node as an NCPoly: every product multiplied out."""
+    if type(node) is not MinorNode:
+        assert node == ()
+        return NCPoly.one(alg)
+    if id(node) not in memo:
+        total = NCPoly.zero(alg)
+        for coef, head, child in node.terms:
+            sub = _expand_node(child, alg, memo)
+            if head is not None:
+                sub = NCPoly.generator(alg, head) * sub
+            total = total + sub.scale(coef)
+        memo[id(node)] = total
+    return memo[id(node)]
+
+
+def _reachable(nodes):
+    seen = {}
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if type(node) is MinorNode and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(child for _c, _h, child in node.terms)
+    return list(seen.values())
+
+
+def test_minor_table_expands_to_the_sugawara_vectors():
+    # Multiplying out every product of the unstraightened minor table gives
+    # back the straightened S_l of the permutation-sum determinant.
+    for n in (1, 2, 3, 4, 5):
+        family = ss_vectors(n)
+        alg, memo = family.S[0].algebra, {}
+        nodes = ss_nodes(n)
+        assert len(nodes) == n
+        for ell, (node, S) in enumerate(zip(nodes, family.S), 1):
+            assert (node.rows, node.power) == (tuple(range(1, n + 1)), n - ell)
+            assert _expand_node(node, alg, memo) == S, (n, ell)
+
+
+def test_minor_table_shape():
+    counts = {}
+    for n in (1, 2, 3, 4, 5, 6):
+        table = _reachable(ss_nodes(n))
+        counts[n] = (len(table), sum(len(node.terms) for node in table))
+        for node in table:
+            # F[R, J] is homogeneous of degree J - |R|; tau terms keep it
+            degree = node.power - len(node.rows)
+            for _coef, head, child in node.terms:
+                child_degree = 0 if child == () else child.power - len(child.rows)
+                assert degree == child_degree + (0 if head is None else head.u)
+    assert counts[5] == (78, 314) and counts[6] == (174, 903)
+    assert ss_nodes(4) is ss_nodes(4)
+    with pytest.raises(ValidationError):
+        ss_nodes(0)
+
