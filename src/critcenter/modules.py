@@ -505,14 +505,14 @@ class RootModule:
                 _accumulate(total, inner._terms, coef * c)
         return total
 
-    def _moves(self, head, vec, mono=None):
+    def _moves(self, head, vec, mono):
         """The annihilation side of head's field on vec, as (p, c_p, mode, mode.vec).
 
         These are the modes x[p - m] for m <= p < m + J, with J from
         ``generator_annihilation_degree`` (the binomial vanishes below m),
         that do not kill vec.  They depend on neither s nor the rest of the
         state, so when vec is the unit monomial ``mono`` they are cached
-        under ``(head, mono)``.
+        under ``(head, mono)``; ``mono`` is None for a traced call.
         """
         if mono is not None:
             hit = self._move_cache.get((head, mono))

@@ -109,9 +109,6 @@ class MinorNode:
         self.power = power
         self.terms = terms
 
-    def __repr__(self):
-        return f"F[{set(self.rows) or '{}'}, {self.power}]"
-
 
 _minor_cache = {}
 
