@@ -88,10 +88,6 @@ class BilinearForm:
         self.multiple = Fraction(multiple)
 
     @classmethod
-    def killing(cls, n):
-        return cls(n, 1)
-
-    @classmethod
     def critical(cls, n):
         return cls(n, Fraction(-1, 2))
 

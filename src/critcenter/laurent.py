@@ -223,14 +223,6 @@ class LaurentElement:
             {k: c * scalar for k, c in self._coeff.items()}, self.precision
         )
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("use invert() for negative powers")
-        out = LaurentElement.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- calculus ----------------------------------------------------------
 
     def derivative(self):

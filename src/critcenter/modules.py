@@ -29,8 +29,8 @@ with c_p the coefficient above.  The recursion reads B only through its
 modes B_(s), so B may be any product expression: a word, or a node of the
 first-column minor table of cdet(tau + E[-1]) (``sugawara.ss_nodes``), a
 sum of terms coef * x[-m-1] * child whose children are nodes again.  The
-vanishing scan reads each S_l from its node and never straightens it into
-PBW words; the straightened S_l is the test oracle.
+vanishing scan reads each S_l, and its certified bound, from its node and
+never straightens it into PBW words; the straightened S_l is the test oracle.
 
 Both sums are truncated by certified annihilation bounds derived from the
 basic vanishing rule: a word x_{n_1} ... x_{n_k} kills v_0 whenever
@@ -50,7 +50,7 @@ from .errors import DomainError, ValidationError
 from .laurent import LaurentElement, scalar_from_str, scalar_to_str
 from .lincomb import LinComb, _accumulate, canonical
 from .pbw import NCPoly
-from .sugawara import MinorNode, ss_nodes, ss_vectors
+from .sugawara import MinorNode, ss_nodes
 from .diffop import Oper, irregularity
 
 
@@ -291,9 +291,6 @@ class RootModule:
         )
 
     # -- creation data -----------------------------------------------------
-
-    def vacuum_vector(self):
-        return ModuleVector.vacuum()
 
     def is_creation(self, g):
         return g.u < self.rf(g.i, g.j)
@@ -635,15 +632,25 @@ def vanishing_report(n, rf, scan_window=3):
 
     Each l is scanned downward from the top of its range and stops at the
     first nonzero cell: the largest nonvanishing N and its witness.  The
-    report reads no cell below it, so none is computed.  Cells are read from
-    S_l's node in the minor table (``sugawara.ss_nodes``); ``certified_from``
-    is the certified bound of the straightened S_l.
+    report reads no cell below it, so none is computed.  Cells and
+    ``certified_from`` come from S_l's node (``sugawara.ss_nodes``), whose
+    bound on v_0, W - 1 + slack, equals the straightened S_l's, the largest
+    depth sum (r - u) of its words (all of degree -l < 0), less 1, plus slack:
+
+    * Multiplying the node out straightens products of generators, which
+      never raises sum (r - u): a bracket e_ij[a], e_jk[b] -> e_ik[a+b]
+      cannot, by subadditivity, and a central contraction removes
+      r(i,j) + r(j,i) >= 0.  So no straightened word is deeper than W.
+    * A path word of the node comes from a permutation s with tau on fixed
+      columns T; let K be the others.  Adding the l - |K| factors e_cc[-1]
+      for some c in T gives a top-symbol monomial of S_l, with coefficient
+      +-1 from a principal l-minor, and depth at least the path word's,
+      because r >= 0.  So some straightened word has depth >= W.
     """
     if rf.n != n:
         raise ValidationError("root function rank does not match n")
     if scan_window < 0:
         raise ValidationError(f"scan window must be nonnegative, got {scan_window}")
-    family = ss_vectors(n)
     nodes = ss_nodes(n)
     mod = RootModule(rf)
     vacuum = ModuleVector.vacuum()
@@ -651,7 +658,7 @@ def vanishing_report(n, rf, scan_window=3):
     rows = []
     for ell in range(1, n + 1):
         thr = rf.threshold(ell)
-        certified = mod.annihilation_bound(family.S[ell - 1], vacuum)
+        certified = mod.annihilation_bound(nodes[ell - 1], vacuum)
         if thr is None:
             thr = certified
         hi = max(certified, thr)  # explicit checks cover [thr - window, hi)

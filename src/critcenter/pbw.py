@@ -162,9 +162,6 @@ class NCPoly(LinComb):
         }
         return NCPoly._adopt(self.algebra, picked)
 
-    def max_tau_power(self):
-        return max((k for (k, _w) in self._terms), default=0)
-
     def words(self):
         """The tau-free content as {word: coeff}; errors if tau occurs."""
         out = {}

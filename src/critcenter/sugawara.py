@@ -5,7 +5,8 @@ determinant of tau*Id + E[-1], where E[-1] has e_ij[-1] at the (i, j) entry:
 
     cdet(tau + E[-1]) = tau^n + tau^{n-1} S_1 + ... + tau S_{n-1} + S_n,
 
-with all tau powers moved to the left.  Their Cartan images omega_1, ...,
+with all tau powers moved to the left (``cdet``, the oracle; the S_l are
+built from the minor table below).  Their Cartan images omega_1, ...,
 omega_n are computed independently as the coefficients of the ascending
 product (tau + e_11[-1]) ... (tau + e_nn[-1]); the canonical Cartan
 projection sends S_l to omega_l, which is verified rather than assumed.
@@ -17,11 +18,10 @@ product (equivalently, any column relabelling of it; the matrix tau + E[-1]
 is column-commutative) produces vectors that commute with the full action of
 gl_n[t] on the vacuum module.
 
-The scan reads each S_l's Fourier modes from a second, unstraightened form of
-the same determinant: the memoised table of its first-column minors.  Let
-F[R] be the column determinant of the rows R and the last |R| columns
-c = n - |R| + 1, ..., n, so F[{1..n}] = cdet(tau + E[-1]) and F[empty] = 1,
-and write F[R] = sum_J tau^J F[R, J] with tau on the left, as above.
+The memoised table of first-column minors writes the same determinant
+unstraightened.  Let F[R] be the column determinant of the rows R and the
+last |R| columns c = n - |R| + 1, ..., n, so F[{1..n}] = cdet(tau + E[-1])
+and F[empty] = 1, and F[R] = sum_J tau^J F[R, J] with tau on the left.
 Expanding along column c gives F[R] = sum (-1)^k a_{ic} F[R - i] over the
 k-th row i of R (k from 0), with a_{ic} = [i=c] tau + e_ic[-1].  To move tau
 left past e_ic[-1], write delta(x[r]) = r x[r-1], so x tau = tau x + delta(x)
@@ -37,9 +37,9 @@ Collecting the coefficient of tau^J:
 
 with F[empty, 0] = 1 and S_l = F[{1..n}, n - l].  Each F[R, J] is a
 MinorNode: a sum of terms (coef, head, child), the product state
-coef * head * child (head None for the tau term), kept as written because
-the field of a product state is the normally ordered product of its factors'
-fields, whatever the factors are.  Nothing is straightened.
+coef * head * child (head None for the tau term).  The scan reads its
+Fourier modes as written, since the field of a product state is the normally
+ordered product of its factors' fields; ``ss_vectors`` multiplies it out.
 """
 
 from __future__ import annotations
@@ -165,26 +165,32 @@ _family_cache = {}
 
 
 def ss_vectors(n):
-    """Construct the degree-(-l) central vectors S_l and their images omega_l."""
+    """The central vectors S_l, each its ``ss_nodes`` node multiplied out
+    (every node once, in a memo local to the call), and their omega_l.
+    """
     if n < 1:
         raise ValidationError("rank must be at least 1")
     cached = _family_cache.get(n)
     if cached is not None:
         return cached
     algebra = AffineAlgebra.critical(n)
-    tau = NCPoly.tau(algebra)
-    matrix = [
-        [
-            tau + NCPoly.generator(algebra, Gen(i, j, -1))
-            if i == j
-            else NCPoly.generator(algebra, Gen(i, j, -1))
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    full = cdet(matrix)
-    S = [full.tau_component(n - ell) for ell in range(1, n + 1)]
+    polys = {(): NCPoly.one(algebra)}
 
+    def expand(node):
+        poly = polys.get(node)
+        if poly is None:
+            table = {}
+            for coef, head, child in node.terms:
+                sub = expand(child)
+                if head is not None:  # a tau term contributes coef * child
+                    sub = NCPoly.generator(algebra, head) * sub
+                _accumulate(table, sub._terms, coef)
+            poly = polys[node] = NCPoly._adopt(algebra, table)
+        return poly
+
+    S = [expand(node) for node in ss_nodes(n)]
+
+    tau = NCPoly.tau(algebra)
     omega_product = NCPoly.one(algebra)
     for i in range(1, n + 1):
         omega_product = omega_product * (

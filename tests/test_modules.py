@@ -661,6 +661,35 @@ def test_minor_table_modes_match_straightened_oracle():
     assert cells > 200 and 0 < nonzero < cells
 
 
+def test_node_bound_equals_straightened_bound():
+    # certified_from is read from S_l's node; it must equal the bound of the
+    # straightened S_l, as vanishing_report's docstring proves.
+    for n in (1, 2, 3, 4, 5):
+        family, nodes = ss_vectors(n), ss_nodes(n)
+        cases = [root_fn_km0(n, m) for m in (1, 2, 3)]
+        cases += [root_fn_constant(n, m) for m in (1, 2, 3)]
+        cases += [
+            root_fn_moy_prasad(n, [Fraction(1, 2)] + [0] * (n - 1), 0),
+            root_fn_moy_prasad(n, [Fraction(k, n) for k in range(1, n + 1)], "1/3"),
+        ]
+        for rf in cases:
+            mod = RootModule(rf)
+            for node, S in zip(nodes, family.S):
+                bound = mod.annihilation_bound(node, V0)
+                assert bound == mod.annihilation_bound(S, V0), rf.describe()
+
+
+def test_vanishing_report_never_straightens_the_family():
+    import critcenter.sugawara as sugawara
+
+    sugawara._family_cache.clear()
+    report = vanishing_report(4, root_fn_km0(4, 1))
+    assert 4 not in sugawara._family_cache
+    assert report["certified_from"] == [
+        RootModule(root_fn_km0(4, 1)).annihilation_bound(S, V0) for S in ss_vectors(4).S
+    ]
+
+
 def test_node_modes_on_shifted_vectors_and_traced():
     # Nodes act on any vector, split per monomial like words, and a traced
     # call (whole vector, no cache) gives the same result.

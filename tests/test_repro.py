@@ -1,6 +1,7 @@
-"""Every reproduction script runs to completion and prints its OK verdict."""
+"""Every reproduction script and every Python block of the README runs cleanly."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,24 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "repro").glob("*.py"))
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
+)
+
+
+def _run(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def test_scripts_found():
@@ -17,17 +36,18 @@ def test_scripts_found():
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
 def test_repro_script_prints_ok(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, str(script)],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _run([str(script)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "OK", proc.stdout
+
+
+def test_readme_blocks_found():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize(
+    "block", README_BLOCKS, ids=[f"block{k}" for k in range(len(README_BLOCKS))]
+)
+def test_readme_python_block_runs(block):
+    proc = _run(["-c", block])
+    assert proc.returncode == 0, proc.stderr
