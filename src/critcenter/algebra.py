@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .lincomb import canonical
 
 
 class Gen(NamedTuple):
@@ -103,7 +102,8 @@ def bracket(a, b, form):
 
     The loop part is d_jk e_il[u+v] - d_li e_kj[u+v]; the central scalar is
     -kappa(e_ij, e_kl) * v * d_{u+v,0}, the residue of t^u d(t^v), as an
-    int when it is integral (always, at the critical level).
+    int when it is integral (always, at the critical level, where it is
+    computed in int arithmetic only).
     """
     if not (isinstance(a, Gen) and isinstance(b, Gen)):
         raise ValidationError("bracket arguments must be loop generators")
@@ -116,7 +116,10 @@ def bracket(a, b, form):
         terms[g] = terms.get(g, 0) - 1
     central = 0
     if a.u + b.u == 0:
-        central = canonical(-form.value((a.i, a.j), (b.i, b.j)) * b.u)
+        scaled = -killing_form(form.n, (a.i, a.j), (b.i, b.j)) * b.u
+        scaled *= form.multiple.numerator
+        den = form.multiple.denominator
+        central = scaled // den if scaled % den == 0 else Fraction(scaled, den)
     return [(g, c) for g, c in terms.items() if c], central
 
 
@@ -134,8 +137,9 @@ def tau_bracket(x):
 class AffineAlgebra:
     """Context object: rank n together with the chosen level form.
 
-    Carries the straightening cache used by the PBW layer, so that repeated
-    normal-form computations against one algebra are shared.
+    Carries the straightening cache used by the PBW layer and a bracket
+    cache, so that repeated normal-form computations against one algebra are
+    shared.
     """
 
     def __init__(self, n, form=None):
@@ -144,13 +148,19 @@ class AffineAlgebra:
         self.n = n
         self.form = form if form is not None else BilinearForm.critical(n)
         self._straighten_cache = {}
+        self._bracket_cache = {}
 
     @classmethod
     def critical(cls, n):
         return cls(n, BilinearForm.critical(n))
 
     def bracket(self, a, b):
-        return bracket(a, b, self.form)
+        """``bracket(a, b, self.form)``, memoised, with the loop part as a tuple."""
+        hit = self._bracket_cache.get((a, b))
+        if hit is None:
+            lie, central = bracket(a, b, self.form)
+            hit = self._bracket_cache[a, b] = (tuple(lie), central)
+        return hit
 
     def __repr__(self):
         return f"AffineAlgebra(n={self.n}, form={self.form!r})"

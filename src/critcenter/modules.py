@@ -36,13 +36,28 @@ Both sums are truncated by certified annihilation bounds derived from the
 basic vanishing rule: a word x_{n_1} ... x_{n_k} kills v_0 whenever
 sum n_i >= sum r(alpha_i).  Every truncation is certified, never heuristic,
 so reported zeroes are exact.
+
+When every depth r(i, j) is at most 1, a sharper truncation holds, by loop
+degree; it holds at any level.  The module is graded by loop degree: v_0 has
+degree 0, e_ij[u] raises degree by u, and the cocycle pairs only modes of
+opposite degree.  Every creation factor has u < r(i, j) <= 1, so every PBW
+monomial has degree <= 0 and every vector of positive degree is 0.  Give a
+word the degree D = sum u of its factors, and a MinorNode F[R, J] the degree
+J - |R| (``RootModule._degree``).  On a monomial of degree d, word_(s) has
+degree d + s + 1 + D, by induction on the recursion: both terms of
+(x[-m-1] B)_(s) have degree (p - m) + (d + s - p + deg B) = d + s + 1 + D,
+and ()_(-1) is the identity.  Hence the degree cut:
+
+    word_(s) mono = 0 for s >= -D - d,   and   x[p - m] mono = 0 for p - m > -d.
+
+The scan uses the cut only to skip work: it truncates both sums and the
+scan's starting cell, while the bounds it reports stay the depth bounds.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .algebra import AffineAlgebra, BilinearForm, Gen, gen_from_str, gen_sort_key
@@ -281,6 +296,11 @@ class RootModule:
         self._fourier_cache = {}
         self._move_cache = {}
         self._depths = {}
+        self._degrees = {}
+        # The degree cut of the module docstring needs every r(i, j) <= 1.
+        self._degree_cut = all(
+            rf(i, j) <= 1 for i in range(1, rf.n + 1) for j in range(1, rf.n + 1)
+        )
         # The basic vanishing rule (degree sum >= depth sum kills v_0) needs
         # positive diagonal depths: a central contraction removes a pair of
         # opposite factors of total degree zero and total depth at least
@@ -371,6 +391,28 @@ class RootModule:
             self._depths[word] = depth
         return depth
 
+    def _degree(self, word):
+        """Loop degree: sum u over a word's factors, power - len(rows) for a MinorNode.
+
+        A node is homogeneous of that degree, by the table recursion of
+        ``sugawara``: F[empty, 0] = 1 has degree 0; the tau term of F[R, J]
+        is F[R - i, J - 1], of degree (J - 1) - (|R| - 1), and its other
+        terms e_ic[-1-q] F[R - i, J + q] have degree
+        (-1 - q) + (J + q) - (|R| - 1); both are J - |R|.
+        """
+        degree = self._degrees.get(word)
+        if degree is None:
+            if type(word) is MinorNode:
+                degree = word.power - len(word.rows)
+            else:
+                degree = sum(g.u for g in word)
+            self._degrees[word] = degree
+        return degree
+
+    def _min_degree(self, vec):
+        """The lowest degree d of vec's monomials, so the degree cut holds for vec."""
+        return min(map(self._degree, vec._terms), default=0)
+
     def word_annihilation_bound(self, word, vec):
         """Certified N with word_(s) vec = 0 for all s >= N.
 
@@ -442,6 +484,14 @@ class RootModule:
         word's field.  A traced call reports to ``on_term`` every path that
         ends on the vacuum field at index -1, so it must visit each path: it
         expands ``vec`` whole and neither reads nor fills the cache.
+
+        Under the degree cut (module docstring) a monomial of degree
+        d >= -D - s gives 0; it is skipped, neither expanded nor cached.  A
+        traced call is skipped when every monomial of ``vec`` is, and it
+        loses no path: the modes of each path of word_(s) have degrees summing
+        to s + 1 + D, and those placed left (p <= -1) have negative degree, so
+        the path ends on a vector whose monomials have degree at least
+        d + s + 1 + D >= 1.  That vector is 0, and the path is not reported.
         """
         if vec.is_zero():
             return ModuleVector.zero()
@@ -452,11 +502,16 @@ class RootModule:
                 on_term, coeff, left, right = trace
                 on_term(left + right, coeff)
             return vec
+        top = -self._degree(word) - s if self._degree_cut else None
         if trace:
+            if top is not None and self._min_degree(vec) >= top:
+                return ModuleVector.zero()
             return ModuleVector._adopt(self._fourier_expand(word, s, vec, trace))
         cache = self._fourier_cache
         total = {}
         for mono, c in vec._terms.items():
+            if top is not None and self._degree(mono) >= top:
+                continue
             key = (word, s, mono)
             table = cache.get(key)
             if table is None:
@@ -476,6 +531,7 @@ class RootModule:
         if trace:
             on_term, coeff, left, right = trace
         mono = None if trace else next(iter(vec._terms))
+        d = self._min_degree(vec) if self._degree_cut else None
         terms = word.terms if type(word) is MinorNode else ((1, word[0], word[1:]),)
         total = {}
         for coef, head, tail in terms:
@@ -485,7 +541,10 @@ class RootModule:
                 continue
             m = -head.u - 1
             # creation side: p <= -1, head mode p - m applied after the tail field
-            for p in range(s - self.word_annihilation_bound(tail, vec), 0):
+            bound = self.word_annihilation_bound(tail, vec)
+            if d is not None:
+                bound = min(bound, -self._degree(tail) - d)
+            for p in range(s - bound, 0):
                 sub = None
                 if trace:
                     mode, c = _field_mode(head, m, p)
@@ -507,17 +566,22 @@ class RootModule:
 
         These are the modes x[p - m] for m <= p < m + J, with J from
         ``generator_annihilation_degree`` (the binomial vanishes below m),
-        that do not kill vec.  They depend on neither s nor the rest of the
-        state, so when vec is the unit monomial ``mono`` they are cached
-        under ``(head, mono)``; ``mono`` is None for a traced call.
+        that do not kill vec.  Under the degree cut, x[p - m] kills vec once
+        p - m > -d, so J drops to 1 - d where that is smaller.  The moves
+        depend on neither s nor the rest of the state, so when vec is the
+        unit monomial ``mono`` they are cached under ``(head, mono)``;
+        ``mono`` is None for a traced call.
         """
         if mono is not None:
             hit = self._move_cache.get((head, mono))
             if hit is not None:
                 return hit
         m = -head.u - 1
+        top = self.generator_annihilation_degree(head, vec)
+        if self._degree_cut:
+            top = min(top, 1 - self._min_degree(vec))
         moves = []
-        for p in range(m, m + self.generator_annihilation_degree(head, vec)):
+        for p in range(m, m + top):
             mode, c = _field_mode(head, m, p)
             moved = self.act(mode, vec)
             if not moved.is_zero():
@@ -646,6 +710,11 @@ def vanishing_report(n, rf, scan_window=3):
       for some c in T gives a top-symbol monomial of S_l, with coefficient
       +-1 from a principal l-minor, and depth at least the path word's,
       because r >= 0.  So some straightened word has depth >= W.
+
+    When every r(i, j) <= 1, the scan of S_l starts below min(hi, l) instead:
+    S_l has degree -l, so S_l,(N) v_0 = 0 for N >= l by the degree cut
+    (module docstring), and the cells in between are not computed.
+    ``certified_from`` stays the depth bound W - 1 + slack.
     """
     if rf.n != n:
         raise ValidationError("root function rank does not match n")
@@ -666,6 +735,8 @@ def vanishing_report(n, rf, scan_window=3):
 
     def scan(row):
         ell, _thr, _certified, lo, hi = row
+        if mod._degree_cut:
+            hi = min(hi, -mod._degree(nodes[ell - 1]))  # v_0 has degree 0
         for N in range(hi - 1, lo - 1, -1):
             value = mod.fourier_act(nodes[ell - 1], N, vacuum)
             if not value.is_zero():
@@ -674,6 +745,8 @@ def vanishing_report(n, rf, scan_window=3):
 
     workers = _workers_from_env(len(rows))
     if workers > 1 and len(rows) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # pulls in logging
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             found = list(pool.map(scan, rows))
     else:

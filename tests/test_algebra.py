@@ -6,6 +6,7 @@ from itertools import product
 
 from critcenter.algebra import (
     CENTRAL,
+    AffineAlgebra,
     BilinearForm,
     Gen,
     bracket,
@@ -61,6 +62,30 @@ def test_tau_bracket():
 def test_generator_token_round_trip():
     g = Gen(2, 3, -4)
     assert gen_from_str(repr(g)) == g
+
+
+def test_algebra_bracket_is_memoised_and_immutable():
+    # AffineAlgebra.bracket caches one tuple result per pair; it agrees with
+    # the module-level bracket, whose central term is an int at the critical
+    # level and a Fraction where the level makes it non-integral.
+    rng = random.Random(3)
+    for level in (Fraction(-1, 2), Fraction(1, 3), 2):
+        for n in (1, 2, 3):
+            alg = AffineAlgebra(n, BilinearForm(n, level))
+            for _ in range(200):
+                a, b = (
+                    Gen(rng.randint(1, n), rng.randint(1, n), rng.randint(-3, 3))
+                    for _ in range(2)
+                )
+                lie, central = bracket(a, b, alg.form)
+                cached = alg.bracket(a, b)
+                assert cached == (tuple(lie), central)
+                assert type(cached[0]) is tuple and alg.bracket(a, b) is cached
+                expected = 0
+                if a.u + b.u == 0:
+                    expected = -alg.form.value((a.i, a.j), (b.i, b.j)) * b.u
+                assert central == expected
+                assert (type(central) is int) == (Fraction(expected).denominator == 1)
 
 
 # -- bilinear extension used for the law checks ----------------------------

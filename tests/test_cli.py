@@ -1,6 +1,10 @@
 """CLI driver: payload handling, round trips, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +275,20 @@ def test_help_and_version_exit_0(capsys, argv):
         assert captured.out.strip() == __version__
     else:
         assert captured.out.startswith("usage: critcenter")
+
+
+def test_cli_import_skips_thread_pool_and_logging():
+    # The scan's thread pool is imported where it is used: importing
+    # concurrent.futures pulls in logging, which every CLI launch would pay.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, critcenter.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

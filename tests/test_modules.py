@@ -709,6 +709,131 @@ def test_node_modes_on_shifted_vectors_and_traced():
             assert all(paths)
 
 
+# -- the degree cut -------------------------------------------------------------
+
+
+def _depth_one_cases():
+    # Every r(i, j) <= 1: km0 m=1, congruence m=1 and Moy-Prasad r=0.
+    cases = []
+    for n in (1, 2, 3, 4):
+        cases += [root_fn_km0(n, 1), root_fn_constant(n, 1)]
+        cases.append(root_fn_moy_prasad(n, [0] * n, 0))
+        if n > 1:
+            cases.append(root_fn_moy_prasad(n, [Fraction(1, 2)] + [0] * (n - 1), 0))
+    return cases
+
+
+def _uncut(rf, monkeypatch):
+    mod = RootModule(rf)
+    monkeypatch.setattr(mod, "_degree_cut", False)
+    return mod
+
+
+def test_degree_cut_changes_no_cell(monkeypatch):
+    # Every cell of every S_l node and some word states, on v_0 and on a
+    # vector with monomials of negative degree, from thr - 3 to two past the
+    # depth bound, equals the cell of the same module with the cut disabled;
+    # traced calls report the same paths.
+    cells = nonzero = traced = 0
+    for rf in _depth_one_cases():
+        n = rf.n
+        mod, plain = RootModule(rf), _uncut(rf, monkeypatch)
+        assert mod._degree_cut
+        shifted = (
+            mod.act(Gen(n, 1, 0), V0).scale(2)
+            + mod.act(Gen(1, 1, -1), mod.act(Gen(1, n, -1), V0))
+            - V0
+        )
+        states = list(ss_nodes(n))
+        states += [(Gen(1, 1, -2),), (Gen(n, 1, -1), Gen(1, n, -2))]
+        for vec in (V0, shifted):
+            for index, state in enumerate(states):
+                ell = min(index + 1, n)
+                lo = rf.threshold(ell) - 3
+                for N in range(lo, mod.annihilation_bound(state, vec) + 3):
+                    expected = plain.fourier_act(state, N, vec)
+                    assert mod.fourier_act(state, N, vec) == expected, (
+                        rf.describe(), index, N,
+                    )
+                    cells += 1
+                    nonzero += not expected.is_zero()
+                    if n <= 3:
+                        paths, plain_paths = [], []
+                        mod.fourier_act(state, N, vec, on_term=lambda *p: paths.append(p))
+                        plain.fourier_act(
+                            state, N, vec, on_term=lambda *p: plain_paths.append(p)
+                        )
+                        assert paths == plain_paths, (rf.describe(), index, N)
+                        traced += bool(paths)
+        # no cell at or above its cut was expanded
+        for word, s, mono in mod._fourier_cache:
+            assert s < -mod._degree(word) - mod._degree(mono)
+    assert cells > 1000 and 0 < nonzero < cells and traced
+
+
+def test_degree_cut_needs_depth_at_most_one():
+    for rf in (
+        root_fn_km0(3, 2),
+        root_fn_constant(3, 2),
+        root_fn_moy_prasad(3, [0, 0, 1], 0),
+        root_fn_moy_prasad(3, [0, 0, 0], 1),
+    ):
+        assert max(map(max, rf.as_matrix())) == 2
+        assert not RootModule(rf)._degree_cut, rf.describe()
+
+
+def test_forced_degree_cut_is_wrong_at_depth_two():
+    # On km0 m=2 a creation factor e_3j[1] has positive degree, so the cut
+    # does not hold: S_1,(1) v_0 is nonzero, yet its degree is 1.
+    rf = root_fn_km0(3, 2)
+    mod = RootModule(rf)
+    node = ss_nodes(3)[0]
+    assert not mod.fourier_act(node, 1, V0).is_zero()
+    forced = RootModule(rf)
+    forced._degree_cut = True
+    assert forced.fourier_act(node, 1, V0).is_zero()
+
+
+def test_node_degree_is_homogeneous():
+    # Each term of a node has the node's degree power - len(rows), and the
+    # multiplied-out S_l is homogeneous of degree -l.
+    mod = RootModule(root_fn_km0(5, 1))
+    stack, seen = list(ss_nodes(5)), set()
+    while stack:
+        node = stack.pop()
+        if not node or id(node) in seen:
+            continue
+        seen.add(id(node))
+        for _coef, head, child in node.terms:
+            head_degree = 0 if head is None else head.u
+            assert head_degree + mod._degree(child) == mod._degree(node)
+            stack.append(child)
+    assert len(seen) > 70
+    for ell, S in enumerate(ss_vectors(5).S, start=1):
+        assert mod._degree(ss_nodes(5)[ell - 1]) == -ell
+        assert {sum(g.u for g in word) for (_k, word) in S._terms} == {-ell}
+
+
+def test_scan_caches_no_empty_fourier_table(monkeypatch):
+    # The degree cut skips every cell it proves zero instead of caching an
+    # empty table for it.
+    built = []
+    init = RootModule.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(RootModule, "__init__", recording_init)
+    monkeypatch.setenv("CRITCENTER_WORKERS", "1")
+    report = vanishing_report(5, root_fn_km0(5, 1))
+    assert all(report["verified"])
+    assert report["certified_from"] == [2 * ell - 1 for ell in range(1, 6)]
+    (mod,) = built
+    assert mod._fourier_cache
+    assert all(mod._fourier_cache.values())
+
+
 def test_vanishing_report_deterministic_and_parallel():
     rf = root_fn_km0(2, 1)
     base = vanishing_report(2, rf, scan_window=2)
