@@ -296,82 +296,48 @@ def _cofactor_minors(rows, orders):
 
     Each determinant is expanded along its first column, row by row in the
     stated order with alternating signs, exactly as the textbook recursion
-    does, so every product and sum is grouped the same way and the tracked
-    precision is the one LaurentElement arithmetic gives.  Minors are shared
-    through one table keyed by (remaining columns, remaining rows): orders
-    that end in the same column suffix reuse each other's sub-minors, which
-    brings n! products down to n 2^(n-1) per order.  After each order, the
-    minors of suffixes that no later order ends in are dropped.
+    does and in LaurentElement arithmetic, so every product and sum is
+    grouped the same way and the tracked precision is the same.  Minors are
+    shared through one table keyed by (remaining columns, remaining rows):
+    orders that end in the same column suffix reuse each other's
+    sub-minors, which brings n! products down to n 2^(n-1) per order.  After
+    each order, the minors of suffixes that no later order ends in are
+    dropped.
 
     Each row is first scaled by the common denominator of its entries, so
-    the table adds and multiplies plain integers; every full minor carries
-    the product of all scales, which is divided out once at the end.  A node
-    is (coefficients, precision, lower bound) under LaurentElement's rules:
-    an exact zero has no coefficients and precision None, a product is known
-    below min(lb_a + p_b, lb_b + p_a), a sum below the least of its terms'.
+    every minor in the table has integer coefficients; every full minor
+    carries the product of all scales, which is divided out once at the end.
     """
-    scales = []
-    entries = []
-    for row in rows:
-        scale = lcm(*(c.denominator for e in row for c in e._coeff.values()))
-        scales.append(scale)
-        entries.append([
-            (
-                {k: c.numerator * (scale // c.denominator) for k, c in e._coeff.items()},
-                e.precision,
-                e._lower_bound(),
-            )
-            for e in row
-        ])
-    divisor = prod(scales)
-    memo = {}  # column suffix -> {remaining rows: node}
+    scales = [
+        lcm(*(c.denominator for e in row for _, c in e.items())) for row in rows
+    ]
+    entries = [[e.scale(scale) for e in row] for row, scale in zip(rows, scales)]
+    memo = {}  # column suffix -> {remaining rows: minor}
 
     def minor(live, cols):
         if len(cols) == 1:
             return entries[live[0]][cols[0]]
         known = memo.setdefault(cols, {})
-        node = known.get(live)
-        if node is not None:
-            return node
+        total = known.get(live)
+        if total is not None:
+            return total
         rest = cols[1:]
-        table = {}
-        prec = None
+        total = LaurentElement.zero()
         for pos, r in enumerate(live):
-            a, pa, la = entries[r][cols[0]]
-            if la is None:  # exact zero entry
+            entry = entries[r][cols[0]]
+            if entry.is_zero():
                 continue
-            b, pb, lb = minor(live[:pos] + live[pos + 1 :], rest)
-            if lb is None:  # exact zero cofactor
-                continue
-            p = None if pb is None else la + pb
-            if pa is not None and (p is None or lb + pa < p):
-                p = lb + pa
-            if p is not None and (prec is None or p < prec):
-                prec = p
-            sign = -1 if pos % 2 else 1
-            for k1, c1 in a.items():
-                c1 *= sign
-                for k2, c2 in b.items():
-                    k = k1 + k2
-                    if p is None or k < p:
-                        table[k] = table.get(k, 0) + c1 * c2
-        table = {
-            k: c for k, c in table.items() if c and (prec is None or k < prec)
-        }
-        node = (table, prec, min(table) if table else prec)
-        known[live] = node
-        return node
+            cofactor = minor(live[:pos] + live[pos + 1 :], rest)
+            total = total + entry * (-cofactor if pos % 2 else cofactor)
+        known[live] = total
+        return total
 
     live = tuple(range(len(rows)))
     orders = [tuple(order) for order in orders]
+    unscale = Fraction(1, prod(scales))
     out = []
     for j, order in enumerate(orders):
-        table, prec, _ = minor(live, order)
-        out.append(
-            LaurentElement(
-                {k: Fraction(c, divisor) for k, c in table.items()}, prec
-            )
-        )
+        out.append(minor(live, order).scale(unscale))
         # keep peak memory down: drop the minors no later order ends in
         later = {o[k:] for o in orders[j + 1 :] for k in range(len(o))}
         for cols in memo.keys() - later:

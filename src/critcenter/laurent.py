@@ -1,11 +1,13 @@
 """Exact Laurent series arithmetic over the rationals.
 
-Scalars are `fractions.Fraction`, so every computation in the package is
-exact; there is no floating point anywhere.  A LaurentElement is a finite
-rational combination of integer powers of t, optionally truncated: when
-``precision`` is set to p, coefficients of t^k for k >= p are unknown and the
-element stands for its stored part plus O(t^p).  Exact (untruncated) elements
-have ``precision is None``.
+Coefficients are exact scalars in the package's canonical form
+(``lincomb.canonical``): an int when integral, a `fractions.Fraction`
+otherwise, never zero and never a float, so ``coefficient`` and ``residue``
+may return an int.  A LaurentElement is a finite rational combination of
+integer powers of t, optionally truncated: when ``precision`` is set to p,
+coefficients of t^k for k >= p are unknown and the element stands for its
+stored part plus O(t^p).  Exact (untruncated) elements have
+``precision is None``.
 
 The valuation of the exact zero element is the sentinel ``INFINITY``, which
 compares greater than every integer.
@@ -23,6 +25,7 @@ from .errors import (
     ValidationError,
     ZeroDivisorError,
 )
+from .lincomb import canonical
 
 Scalar = Fraction
 
@@ -78,6 +81,15 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+def _normal(table, precision):
+    """The nonzero terms of ``table`` below the precision, values canonical."""
+    return {
+        k: canonical(c)
+        for k, c in table.items()
+        if c and (precision is None or k < precision)
+    }
+
+
 def _min_prec(p, q):
     if p is None:
         return q
@@ -87,10 +99,10 @@ def _min_prec(p, q):
 
 
 class LaurentElement:
-    """A Laurent polynomial/truncated series with Fraction coefficients.
+    """A Laurent polynomial/truncated series with exact coefficients.
 
-    Stored as a map exponent -> nonzero coefficient.  When ``precision`` is
-    set, no stored exponent reaches it.
+    Stored as a map exponent -> nonzero canonical coefficient.  When
+    ``precision`` is set, no stored exponent reaches it.
     """
 
     __slots__ = ("_coeff", "precision")
@@ -99,15 +111,18 @@ class LaurentElement:
         table = {}
         if coeff:
             for k, c in (coeff.items() if isinstance(coeff, dict) else coeff):
-                c = Fraction(c)
-                if c:
-                    k = int(k)
-                    if precision is None or k < precision:
-                        table[k] = table.get(k, Fraction(0)) + c
-                        if not table[k]:
-                            del table[k]
-        self._coeff = table
+                k = int(k)
+                table[k] = table.get(k, 0) + canonical(c)
+        self._coeff = _normal(table, precision)
         self.precision = precision
+
+    @classmethod
+    def _adopt(cls, table, precision):
+        """An element of the terms of ``table``, whose values are int or Fraction."""
+        obj = cls.__new__(cls)
+        obj._coeff = _normal(table, precision)
+        obj.precision = precision
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -117,15 +132,15 @@ class LaurentElement:
 
     @classmethod
     def one(cls):
-        return cls({0: Fraction(1)})
+        return cls({0: 1})
 
     @classmethod
     def monomial(cls, exponent, coefficient=1):
-        return cls({int(exponent): Fraction(coefficient)})
+        return cls({int(exponent): coefficient})
 
     @classmethod
     def constant(cls, value):
-        return cls({0: Fraction(value)})
+        return cls({0: value})
 
     # -- basic queries -----------------------------------------------------
 
@@ -145,7 +160,7 @@ class LaurentElement:
             raise UndeterminedCoefficientError(
                 f"coefficient of t^{k} not determined at precision O(t^{self.precision})"
             )
-        return self._coeff.get(k, Fraction(0))
+        return self._coeff.get(k, 0)
 
     def residue(self):
         """The coefficient of t^-1."""
@@ -153,7 +168,7 @@ class LaurentElement:
             raise UndeterminedResidueError(
                 f"residue not determined at precision O(t^{self.precision})"
             )
-        return self._coeff.get(-1, Fraction(0))
+        return self._coeff.get(-1, 0)
 
     def valuation(self):
         """Smallest exponent with nonzero coefficient; INFINITY for zero."""
@@ -179,11 +194,11 @@ class LaurentElement:
         prec = _min_prec(self.precision, other.precision)
         table = dict(self._coeff)
         for k, c in other._coeff.items():
-            table[k] = table.get(k, Fraction(0)) + c
-        return LaurentElement(table, prec)
+            table[k] = table.get(k, 0) + c
+        return self._adopt(table, prec)
 
     def __neg__(self):
-        return LaurentElement({k: -c for k, c in self._coeff.items()}, self.precision)
+        return self._adopt({k: -c for k, c in self._coeff.items()}, self.precision)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentElement):
@@ -210,16 +225,16 @@ class LaurentElement:
                 k = k1 + k2
                 if prec is not None and k >= prec:
                     continue
-                table[k] = table.get(k, Fraction(0)) + c1 * c2
-        return LaurentElement(table, prec)
+                table[k] = table.get(k, 0) + c1 * c2
+        return self._adopt(table, prec)
 
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = canonical(scalar)
         if not scalar:
             return LaurentElement.zero()
-        return LaurentElement(
+        return self._adopt(
             {k: c * scalar for k, c in self._coeff.items()}, self.precision
         )
 
@@ -228,7 +243,7 @@ class LaurentElement:
     def derivative(self):
         """Termwise d/dt; the precision bound drops by one."""
         prec = None if self.precision is None else self.precision - 1
-        return LaurentElement(
+        return self._adopt(
             {k - 1: k * c for k, c in self._coeff.items() if k != 0}, prec
         )
 
@@ -243,9 +258,9 @@ class LaurentElement:
         if self.is_zero():
             raise ZeroDivisorError("cannot invert the zero series")
         v = self.valuation()  # raises UndeterminedValuationError on O(t^p) zero
-        c0 = self._coeff[v]
+        inverse = Fraction(1) / self._coeff[v]
         if len(self._coeff) == 1 and self.precision is None:
-            return LaurentElement.monomial(-v, Fraction(1) / c0)
+            return LaurentElement.monomial(-v, inverse)
         effective = order
         if self.precision is not None:
             effective = min(effective, self.precision - v)
@@ -254,20 +269,18 @@ class LaurentElement:
                 f"cannot invert to order {order} with input precision O(t^{self.precision})"
             )
         tail = sorted((k - v, c) for k, c in self._coeff.items() if k != v)
-        b = [1 / c0]
+        b = [inverse]
         for k in range(1, effective):
             total = 0
             for j, c in tail:
                 if j > k:
                     break
                 total += c * b[k - j]
-            b.append(-total / c0)
-        return LaurentElement(
-            {k - v: c for k, c in enumerate(b) if c}, effective - v
-        )
+            b.append(-total * inverse)
+        return self._adopt({k - v: c for k, c in enumerate(b)}, effective - v)
 
     def truncate(self, precision):
-        return LaurentElement(self._coeff, _min_prec(self.precision, precision))
+        return self._adopt(self._coeff, _min_prec(self.precision, precision))
 
     # -- comparisons -------------------------------------------------------
 
@@ -287,7 +300,7 @@ class LaurentElement:
         for k in exps:
             if bound is not None and k >= bound:
                 continue
-            if self._coeff.get(k, Fraction(0)) != other._coeff.get(k, Fraction(0)):
+            if self._coeff.get(k, 0) != other._coeff.get(k, 0):
                 return False
         return True
 

@@ -17,7 +17,8 @@ def canonical(value):
     """An exact scalar as an int when integral, else as a Fraction."""
     if type(value) is int:
         return value
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 

@@ -666,11 +666,11 @@ def state_is_central(state, n):
     return all(mod.act(g, vec).is_zero() for g in generators)
 
 
-def ss_operator_act(n, ell, N, rf, module=None):
+def ss_operator_act(n, ell, N, rf):
     """Apply the N-th Fourier coefficient of S_l, from its node, to v_0."""
     if not 1 <= ell <= n:
         raise ValidationError(f"component index {ell} out of range 1..{n}")
-    mod = module if module is not None else RootModule(rf)
+    mod = RootModule(rf)
     return mod.fourier_act(ss_nodes(n)[ell - 1], N, ModuleVector.vacuum())
 
 

@@ -1,5 +1,7 @@
 """CLI driver: payload handling, round trips, determinism, exit codes."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -292,3 +294,27 @@ def test_cli_import_skips_thread_pool_and_logging():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _benchmark_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCHMARK_INPUTS = _benchmark_inputs()
+OPER_SIDE = [
+    entry for entry in BENCHMARK_INPUTS.CATALOGUE
+    if entry[1][0] in ("miura", "irr", "cyclic", "oper")
+]
+
+
+@pytest.mark.parametrize("name,argv", OPER_SIDE, ids=[name for name, _ in OPER_SIDE])
+def test_oper_side_output_matches_recorded_digest(capsys, name, argv):
+    # the benchmark's recorded stdout digests, checked here in-process
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == BENCHMARK_INPUTS.load_digests()["cli"][name]

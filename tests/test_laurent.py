@@ -178,7 +178,7 @@ def _geometric_invert(a, order):
     if effective <= 0:
         raise PrecisionExhaustedError("order exhausted")
     u = L(
-        {k - v: c / c0 for k, c in a._coeff.items() if k != v},
+        {k - v: Fraction(c) / c0 for k, c in a._coeff.items() if k != v},
         None if a.precision is None else a.precision - v,
     )
     geo = L.one()
@@ -191,7 +191,7 @@ def _geometric_invert(a, order):
         geo = geo + power.scale((-1) ** (k % 2))
         k += 1
     geo = geo.truncate(effective)
-    return L({k - v: c / c0 for k, c in geo._coeff.items()}, effective - v)
+    return L({k - v: Fraction(c) / c0 for k, c in geo._coeff.items()}, effective - v)
 
 
 truncated_elements = st.builds(
@@ -226,3 +226,60 @@ def test_invert_two_sided(a, order):
     assert (a * inv).agrees_with(one)
     assert (inv * a).agrees_with(one)
     assert inv.valuation() == -a.valuation()
+
+
+# -- canonical coefficients ------------------------------------------------
+
+exact_scalars = st.one_of(st.integers(min_value=-5, max_value=5), scalars)
+exact_tables = st.dictionaries(
+    st.integers(min_value=-5, max_value=5), exact_scalars, max_size=5
+)
+precisions = st.one_of(st.none(), st.integers(min_value=-4, max_value=8))
+
+
+def _assert_canonical(a):
+    for c in a._coeff.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+        assert c != 0
+
+
+def _results(a, b, k, order):
+    yield a + b
+    yield a - b
+    yield -a
+    yield a * b
+    yield a.scale(k)
+    yield a.scale(Fraction(1, 2))
+    yield a.derivative()
+    yield a.truncate(order)
+    yield L.from_json(a.to_json())
+    try:
+        yield a.invert(order)
+    except (ZeroDivisorError, UndeterminedValuationError, PrecisionExhaustedError):
+        pass
+
+
+def test_canonical_coefficient_examples():
+    assert type(L({0: Fraction(3)}).coefficient(0)) is int
+    assert type(L.constant(Fraction(4, 2)).scale(Fraction(1, 2)).coefficient(0)) is int
+    inv = L({0: 3, 1: 1}).invert(5)
+    assert inv.precision == 5
+    assert inv.items() == [
+        (0, Fraction(1, 3)), (1, Fraction(-1, 9)), (2, Fraction(1, 27)),
+        (3, Fraction(-1, 81)), (4, Fraction(1, 243)),
+    ]
+
+
+@settings(max_examples=150)
+@given(exact_tables, precisions, exact_tables, precisions,
+       st.integers(min_value=-3, max_value=3), st.integers(min_value=-2, max_value=8))
+def test_coefficients_stay_canonical(d, p, e, q, k, order):
+    # int and Fraction inputs give canonical tables, and the same results
+    def fractions(table):
+        return {x: Fraction(c) for x, c in table.items()}
+
+    mixed = _results(L(d, p), L(e, q), k, order)
+    exact = _results(L(fractions(d), p), L(fractions(e), q), k, order)
+    for r, s in zip(mixed, exact, strict=True):
+        _assert_canonical(r)
+        assert r == s and hash(r) == hash(s)
