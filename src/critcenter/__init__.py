@@ -30,7 +30,6 @@ from .sugawara import (
 from .diffop import (
     Connection,
     CyclicVector,
-    DiffOp,
     Oper,
     connection_to_oper,
     cyclic_vector_search,
@@ -81,7 +80,6 @@ __all__ = [
     "ss_vectors",
     "Connection",
     "CyclicVector",
-    "DiffOp",
     "Oper",
     "connection_to_oper",
     "cyclic_vector_search",

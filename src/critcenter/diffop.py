@@ -1,8 +1,4 @@
-"""Differential operators over Laurent series: opers, connections, Miura.
-
-A DiffOp is kept in the normal form c_n d^n + ... + c_1 d + c_0 with the
-coefficients written to the left of powers of d = d/dt; multiplication uses
-the commutation rule d a = a d + a'.
+"""Opers, connections and the Miura expansion over Laurent series.
 
 An oper is an n-tuple (a_1, ..., a_n) of Laurent series, standing for the
 relation D^n v = a_1 D^{n-1} v + ... + a_n v satisfied by a cyclic vector v
@@ -18,120 +14,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, lcm, prod
+from math import lcm, prod
 
 from .errors import (
     CyclicVectorNotFoundError,
     DimensionMismatchError,
     NotCyclicError,
-    PrecisionExhaustedError,
     ValidationError,
 )
 from .laurent import LaurentElement, int_from_json
-
-
-class DiffOp:
-    """Polynomial in d with Laurent coefficients on the left."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = [c for c in coeffs]
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls):
-        return cls([LaurentElement.zero()])
-
-    @classmethod
-    def identity(cls):
-        return cls([LaurentElement.one()])
-
-    @classmethod
-    def d(cls):
-        return cls([LaurentElement.zero(), LaurentElement.one()])
-
-    @classmethod
-    def first_order(cls, constant_term):
-        """d + f for a Laurent element f."""
-        return cls([constant_term, LaurentElement.one()])
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return LaurentElement.zero()
-
-    def __add__(self, other):
-        size = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp(
-            [self.coefficient(k) + other.coefficient(k) for k in range(size)]
-        )
-
-    def __neg__(self):
-        return DiffOp([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Product normalized with coefficients on the left: d a = a d + a'."""
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        out = {}
-        for p, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for q, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                # d^p b = sum_k C(p, k) b^(k) d^(p-k)
-                deriv = b
-                for k in range(p + 1):
-                    if deriv.is_zero():
-                        break
-                    idx = p - k + q
-                    term = (a * deriv).scale(comb(p, k))
-                    out[idx] = out.get(idx, LaurentElement.zero()) + term
-                    deriv = deriv.derivative()
-        size = max(out) + 1 if out else 1
-        return DiffOp([out.get(k, LaurentElement.zero()) for k in range(size)])
-
-    def apply(self, f):
-        """Apply the operator to a Laurent element."""
-        total = LaurentElement.zero()
-        deriv = f
-        for c in self.coeffs:
-            total = total + c * deriv
-            deriv = deriv.derivative()
-        return total
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __str__(self):
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if c.is_zero():
-                continue
-            dpow = "" if k == 0 else ("d" if k == 1 else f"d^{k}")
-            if not dpow:
-                parts.append(f"({c})")
-            elif c == LaurentElement.one():
-                parts.append(dpow)
-            else:
-                parts.append(f"({c})*{dpow}")
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
 
 
 class Oper:
@@ -149,18 +40,10 @@ class Oper:
     def rank(self):
         return len(self.a)
 
-    def irregularity(self):
-        return irregularity(self)
-
     def __eq__(self, other):
         if not isinstance(other, Oper):
             return NotImplemented
         return self.a == other.a
-
-    def agrees_with(self, other):
-        return self.rank == other.rank and all(
-            x.agrees_with(y) for x, y in zip(self.a, other.a)
-        )
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.a) + ")"
@@ -201,11 +84,14 @@ def miura(h):
     The components are consumed in the written order (index 1 first); the
     expansion convention is the one dual to collecting tau powers on the left
     of the ascending diagonal product, i.e. the factor of index 1 is applied
-    last.  Concretely the operator (d - E_nn) ... (d - E_11) is expanded by
-    the standard rule and a_l is (-1)^l times the d^{n-l} coefficient, so for
-    n = 2:
+    last.  Concretely the operator (d - E_nn) ... (d - E_11) is expanded with
+    its coefficients on the left of the powers of d = d/dt, and a_l is
+    (-1)^l times the d^{n-l} coefficient, so for n = 2:
 
         a_1 = E_11 + E_22,      a_2 = E_11 E_22 - E_11'.
+
+    Multiplying c_0 + c_1 d + ... + c_k d^k on the left by d + f, by the rule
+    d c = c d + c', gives the coefficients c_{j-1} + c_j' + f c_j.
 
     Holomorphic input produces holomorphic output; meromorphic input is
     accepted as well.
@@ -213,15 +99,17 @@ def miura(h):
     h = list(h)
     if not h:
         raise ValidationError("miura needs at least one component")
-    op = DiffOp.identity()
+    coeffs = [LaurentElement.one()]
     for component in h:
-        op = DiffOp.first_order(-component) * op
+        f = -component
+        shifted = [LaurentElement.zero()] + coeffs
+        for j, c in enumerate(coeffs):
+            if c.is_zero():
+                continue
+            shifted[j] = shifted[j] + c.derivative() + f * c
+        coeffs = shifted
     n = len(h)
-    a = []
-    for ell in range(1, n + 1):
-        sign = -1 if ell % 2 else 1
-        a.append(op.coefficient(n - ell).scale(sign))
-    return Oper(a)
+    return Oper(coeffs[n - ell].scale(-1 if ell % 2 else 1) for ell in range(1, n + 1))
 
 
 class Connection:
@@ -431,8 +319,7 @@ def connection_to_oper(conn, vector, working_precision=None):
     share every minor of the columns they have in common.  The division by
     the certificate determinant uses truncated series inversion; a
     single-monomial determinant inverts exactly, so companion systems
-    round-trip with no precision loss.  On precision exhaustion the working
-    precision is doubled a few times before giving up.
+    round-trip with no precision loss.
     """
     components = vector.components if isinstance(vector, CyclicVector) else vector
     n = conn.rank
@@ -451,16 +338,8 @@ def connection_to_oper(conn, vector, working_precision=None):
         raise NotCyclicError("certificate determinant vanishes; vector is not cyclic")
 
     order = working_precision if working_precision is not None else 4 * n + 8
-    attempts = 3
-    for attempt in range(attempts):
-        try:
-            inv = det.invert(order)
-            return Oper([numerator * inv for numerator in numerators])
-        except PrecisionExhaustedError:
-            if attempt == attempts - 1:
-                raise
-            order *= 2
-    raise PrecisionExhaustedError("unreachable")
+    inv = det.invert(order)
+    return Oper([numerator * inv for numerator in numerators])
 
 
 def newton_polygon_irregularity(chi):

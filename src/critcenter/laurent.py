@@ -265,9 +265,10 @@ class LaurentElement:
         if self.precision is not None:
             effective = min(effective, self.precision - v)
         if effective <= 0:
-            raise PrecisionExhaustedError(
-                f"cannot invert to order {order} with input precision O(t^{self.precision})"
-            )
+            message = f"cannot invert to order {order}"
+            if self.precision is not None:
+                message += f" with input precision O(t^{self.precision})"
+            raise PrecisionExhaustedError(message)
         tail = sorted((k - v, c) for k, c in self._coeff.items() if k != v)
         b = [inverse]
         for k in range(1, effective):

@@ -783,18 +783,14 @@ def conductor_irregularity_report(n, m, scan_window=3):
     oper.  Feeding the bounds into the irregularity formula yields
     Irr <= m - 1, and the oper saturating every bound attains it exactly.
     """
-    if m < 1:
-        raise DomainError("conductor depth m must be positive")
     rf = root_fn_km0(n, m)
     vanishing = vanishing_report(n, rf, scan_window=scan_window)
     if not all(vanishing["verified"]):
         raise AssertionError(
             "internal invariant violation: conductor vanishing failed"
         )
-    pole_bounds = [m + ell - 1 for ell in range(1, n + 1)]
-    witness = Oper(
-        [LaurentElement.monomial(-(m + ell - 1)) for ell in range(1, n + 1)]
-    )
+    pole_bounds = vanishing["thresholds_theoretical"]
+    witness = Oper([LaurentElement.monomial(-bound) for bound in pole_bounds])
     witness_irr = irregularity(witness)
     return {
         "case": vanishing["case"],

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import TAU, gen_from_str, gen_sort_key
+from .algebra import TAU, gen_from_str, gen_sort_key, tau_bracket
 from .errors import DomainError, ValidationError
 from .laurent import scalar_from_str, scalar_to_str
 from .lincomb import LinComb, _accumulate, canonical
@@ -66,13 +66,9 @@ def _straighten(algebra, word, order="deglex"):
     out = {}
     _accumulate(out, _straighten(algebra, head + (y, x) + tail, order))
     if y is TAU:
-        # e_ij[r] tau = tau e_ij[r] + r e_ij[r-1]
-        if x.u != 0:
-            _accumulate(
-                out,
-                _straighten(algebra, head + (x.shifted(-1),) + tail, order),
-                x.u,
-            )
+        # x tau = tau x - [tau, x]
+        for g, c in tau_bracket(x):
+            _accumulate(out, _straighten(algebra, head + (g,) + tail, order), -c)
     else:
         lie, central = algebra.bracket(x, y)
         for g, c in lie:

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -318,3 +319,17 @@ def test_oper_side_output_matches_recorded_digest(capsys, name, argv):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == BENCHMARK_INPUTS.load_digests()["cli"][name]
+
+
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_oper_nonpositive_precision_names_the_order_given(capsys, precision):
+    # the rank-3 connection of the benchmark catalogue has a multi-term,
+    # exact certificate determinant, so no order <= 0 can invert it
+    conn = BENCHMARK_INPUTS.connection_payload(random.Random("cli:3"), 3)
+    code, _out, err = _run(capsys, "oper", "--precision", precision,
+                           "--data", json.dumps({"connection": conn}))
+    assert code == 2
+    data = json.loads(err)
+    assert data["error"] == "PrecisionExhaustedError"
+    assert f"order {precision}" in data["message"]
+    assert "None" not in data["message"]

@@ -1,8 +1,7 @@
-"""Differential operators, opers, connections, and the irregularity oracle."""
+"""Opers, connections, the Miura expansion, and the irregularity oracle."""
 
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from critcenter.diffop import (
     Connection,
-    DiffOp,
     Oper,
     certificate_determinant,
     connection_to_oper,
@@ -37,81 +35,6 @@ def _rand_laurent(rng, lo=-3, hi=3, density=0.6):
         if rng.random() < density:
             table[k] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return L(table)
-
-
-# -- multiplication ---------------------------------------------------------
-
-
-def test_mul_d_times_t():
-    assert DiffOp.d() * DiffOp([L.monomial(1)]) == DiffOp([L.one(), L.monomial(1)])
-
-
-def test_mul_constant_factors():
-    c1, c2 = L.constant(2), L.constant(-7)
-    product = DiffOp.first_order(c1) * DiffOp.first_order(c2)
-    assert product == DiffOp([c1 * c2, c1 + c2, L.one()])
-
-
-def test_mul_d_squared():
-    assert DiffOp.d() * DiffOp.d() == DiffOp([L.zero(), L.zero(), L.one()])
-
-
-def test_mul_associative_sampled():
-    rng = random.Random(3)
-    for _ in range(25):
-        ops = [
-            DiffOp([_rand_laurent(rng) for _ in range(rng.randint(1, 3))])
-            for _ in range(3)
-        ]
-        a, b, c = ops
-        assert (a * b) * c == a * (b * c)
-
-
-def test_apply_matches_mul():
-    rng = random.Random(5)
-    for _ in range(20):
-        a = DiffOp([_rand_laurent(rng) for _ in range(rng.randint(1, 3))])
-        b = DiffOp([_rand_laurent(rng) for _ in range(rng.randint(1, 3))])
-        f = _rand_laurent(rng)
-        assert (a * b).apply(f) == a.apply(b.apply(f))
-
-
-def _to_right_form(op):
-    """Coefficients moved to the right of the d-powers: a d^k = sum (-1)^j C(k,j) d^{k-j} a^(j)."""
-    out = {}
-    for k, a in enumerate(op.coeffs):
-        deriv = a
-        for j in range(k + 1):
-            if deriv.is_zero():
-                break
-            coeff = deriv.scale((-1) ** j * comb(k, j))
-            idx = k - j
-            out[idx] = out.get(idx, L.zero()) + coeff
-            deriv = deriv.derivative()
-    return out
-
-
-def _from_right_form(table):
-    """Back to coefficients-left normal form: d^k a = sum C(k,j) a^(j) d^{k-j}."""
-    total = DiffOp.zero()
-    for k, a in table.items():
-        expanded = {}
-        deriv = a
-        for j in range(k + 1):
-            if deriv.is_zero():
-                break
-            expanded[k - j] = expanded.get(k - j, L.zero()) + deriv.scale(comb(k, j))
-            deriv = deriv.derivative()
-        size = max(expanded) + 1 if expanded else 1
-        total = total + DiffOp([expanded.get(i, L.zero()) for i in range(size)])
-    return total
-
-
-def test_normal_form_unique_via_opposite_order():
-    rng = random.Random(9)
-    for _ in range(25):
-        op = DiffOp([_rand_laurent(rng) for _ in range(rng.randint(1, 4))])
-        assert _from_right_form(_to_right_form(op)) == op
 
 
 # -- miura -------------------------------------------------------------------
@@ -146,6 +69,35 @@ def test_miura_holomorphic_stays_holomorphic():
         chi = miura(h)
         for a in chi.a:
             assert a.is_zero() or a.valuation() >= 0
+
+
+def test_miura_truncated_component():
+    chi = miura([L({-1: 1}, precision=2), L.constant(2)])
+    assert chi.a == (L({-1: 1, 0: 2}, precision=2), L({-2: 1, -1: 2}, precision=1))
+
+
+_coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+_exact_components = st.builds(
+    L, st.dictionaries(st.integers(min_value=-3, max_value=3), _coefficients, max_size=3)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_exact_components, min_size=1, max_size=5))
+def test_miura_matches_connection_extraction(h):
+    # D = d + A with h_k on the diagonal of A and 1 below it: e_1 is cyclic
+    # with certificate determinant +-1, so the extracted oper is exact, and
+    # a_l agrees with miura(h) up to the sign (-1)^(l+1)
+    n = len(h)
+    matrix = [
+        [h[r] if r == c else L.one() if r == c + 1 else L.zero() for c in range(n)]
+        for r in range(n)
+    ]
+    e1 = [L.one() if r == 0 else L.zero() for r in range(n)]
+    chi = connection_to_oper(Connection(matrix), e1)
+    signs = [1 if ell % 2 else -1 for ell in range(1, n + 1)]
+    assert miura(h).a == tuple(a.scale(sign) for a, sign in zip(chi.a, signs))
 
 
 # -- irregularity ------------------------------------------------------------
@@ -394,8 +346,6 @@ def _exact(element):
     """Coefficients and precision: equality that cannot hide a precision."""
     return dict(element._coeff), element.precision
 
-
-_coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 # exact zeros, truncated zeros O(t^p), exact polynomials and truncated ones
 _entries = st.one_of(
