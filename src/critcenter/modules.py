@@ -64,7 +64,7 @@ from .algebra import AffineAlgebra, BilinearForm, Gen, gen_from_str, gen_sort_ke
 from .errors import DomainError, ValidationError
 from .laurent import LaurentElement, scalar_from_str, scalar_to_str
 from .lincomb import LinComb, _accumulate, canonical
-from .pbw import NCPoly
+from .pbw import NCPoly, _straighten
 from .sugawara import MinorNode, ss_nodes
 from .diffop import Oper, irregularity
 
@@ -648,14 +648,29 @@ def state_is_central(state, n):
 
     At n = 1, sl_1 = 0 and gl_1[t] = I[t], so every state is central; the
     one check left, on e_{1,1}[1] = I[1], always passes.
+
+    The generators act as derivations, with no module built.  The state
+    vector is sum c_w w v_0 over the state's deglex normal words w, each a
+    basis vector of the vacuum module, since every factor has negative
+    degree.  A generator g of degree >= 0 kills v_0, so
+
+        g w v_0 = [g, w] v_0 = sum_i w_<i [g, w_i] w_>i v_0,
+
+    where [g, w_i] gives its loop part, and its central scalar (the central
+    element acts as 1) times w_<i w_>i.  A loop term h of degree >= 0 kills
+    v_0 in turn, so h w_>i v_0 expands by the same rule; every term is then
+    a word of negative-degree factors.  Straightening (``pbw._straighten``)
+    keeps them so, as brackets of negative-degree generators have negative
+    degree and no central term, and gives distinct basis vectors: g kills
+    the state iff the straightened sum is 0.
+
+    A state that is not already an NCPoly over the critical rank-n algebra
+    (a dict, tuple, ModuleVector, or an NCPoly over another level or rank)
+    is read as its words, straightened over ``AffineAlgebra.critical(n)``,
+    so that every bracket is taken at the critical level.
     """
-    mod = vacuum_module(n)
-    words = _state_words(state)
-    table = {}
-    for w, c in words.items():
-        _accumulate(table, mod.act_word(w, ModuleVector.vacuum())._terms, c)
-    vec = ModuleVector._adopt(table)
-    for word in vec._terms:
+    algebra, words = _critical_words(state, n)
+    for word in words:
         weight = [0] * (n + 1)
         for g in word:
             weight[g.i] += 1
@@ -663,7 +678,56 @@ def state_is_central(state, n):
         if any(weight):
             return False
     generators = [Gen(i, i + 1, 0) for i in range(1, n)] + [Gen(n, 1, 1)]
-    return all(mod.act(g, vec).is_zero() for g in generators)
+    return all(_kills_state(algebra, g, words) for g in generators)
+
+
+def _critical_words(state, n):
+    """The state as (critical rank-n algebra, {deglex normal word: coeff})."""
+    words = _state_words(state)
+    for word in words:
+        for g in word:
+            if not (1 <= g.i <= n and 1 <= g.j <= n):
+                raise ValidationError(f"state factor {g!r} has an index outside 1..{n}")
+    if (
+        isinstance(state, NCPoly)
+        and state.algebra.n == n
+        and state.algebra.form.multiple == BilinearForm.critical(n).multiple
+    ):
+        algebra = state.algebra
+    else:
+        algebra = AffineAlgebra.critical(n)
+    table = {}
+    for word, c in words.items():
+        _accumulate(table, _straighten(algebra, word), c)
+    return algebra, {word: c for (_k, word), c in table.items()}
+
+
+def _kills_state(algebra, g, words):
+    """Whether g kills sum c_w w v_0, expanded as in ``state_is_central``."""
+    raw = {}
+    for word, c in words.items():
+        _derive(algebra, g, word, c, (), raw)
+    out = {}
+    for word, c in raw.items():
+        if c:
+            _accumulate(out, _straighten(algebra, word), c)
+    return not out
+
+
+def _derive(algebra, g, word, c, left, raw):
+    """Add c * left * [g, word] v_0 to raw as words of negative-degree factors."""
+    for i, x in enumerate(word):
+        lie, central = algebra.bracket(g, x)
+        pre, post = left + word[:i], word[i + 1 :]
+        for h, c2 in lie:
+            if h.u >= 0:
+                _derive(algebra, h, post, c * c2, pre, raw)
+            else:
+                key = pre + (h,) + post
+                raw[key] = raw.get(key, 0) + c * c2
+        if central:
+            key = pre + post
+            raw[key] = raw.get(key, 0) + c * central
 
 
 def ss_operator_act(n, ell, N, rf):

@@ -22,35 +22,22 @@ from .laurent import scalar_from_str, scalar_to_str
 from .lincomb import LinComb, _accumulate, canonical
 
 
-def _triangular_key(g):
-    # Lower-triangular factors first, then Cartan, then upper-triangular;
-    # ties broken by degree and index.  This is the PBW order realizing the
-    # canonical projection onto the Cartan part.
-    block = 0 if g.i > g.j else (1 if g.i == g.j else 2)
-    return (block, g.u, g.i, g.j)
-
-
-_ORDER_KEYS = {"deglex": gen_sort_key, "triangular": _triangular_key}
-
-
-def _straighten(algebra, word, order="deglex"):
+def _straighten(algebra, word):
     """Normal form of a raw word (tuple over Gen and TAU tokens).
 
     Returns a dict {(tau_power, gen_word): int or Fraction}.  Cached per
-    algebra and term order.
+    algebra.
     """
-    cache = algebra._straighten_cache.setdefault(order, {})
+    cache = algebra._straighten_cache.setdefault("deglex", {})
     hit = cache.get(word)
     if hit is not None:
         return hit
-    key_of = _ORDER_KEYS[order]
-
     bad = None
     for idx in range(len(word) - 1):
         x, y = word[idx], word[idx + 1]
         if x is TAU:
             continue
-        if y is TAU or key_of(x) > key_of(y):
+        if y is TAU or gen_sort_key(x) > gen_sort_key(y):
             bad = idx
             break
     if bad is None:
@@ -64,17 +51,17 @@ def _straighten(algebra, word, order="deglex"):
     x, y = word[bad], word[bad + 1]
     head, tail = word[:bad], word[bad + 2 :]
     out = {}
-    _accumulate(out, _straighten(algebra, head + (y, x) + tail, order))
+    _accumulate(out, _straighten(algebra, head + (y, x) + tail))
     if y is TAU:
         # x tau = tau x - [tau, x]
         for g, c in tau_bracket(x):
-            _accumulate(out, _straighten(algebra, head + (g,) + tail, order), -c)
+            _accumulate(out, _straighten(algebra, head + (g,) + tail), -c)
     else:
         lie, central = algebra.bracket(x, y)
         for g, c in lie:
-            _accumulate(out, _straighten(algebra, head + (g,) + tail, order), c)
+            _accumulate(out, _straighten(algebra, head + (g,) + tail), c)
         if central:
-            _accumulate(out, _straighten(algebra, head + tail, order), central)
+            _accumulate(out, _straighten(algebra, head + tail), central)
     cache[word] = out
     return out
 
@@ -258,16 +245,60 @@ def nc_normal_form(algebra, raw):
     return NCPoly._adopt(algebra, table)
 
 
+def _project_word(algebra, word):
+    """The Cartan projection of a word of negative-degree generators.
+
+    Returns {(0, cartan_word): coeff}, memoised per algebra.  A word A x B
+    whose leftmost lower-triangular factor is x equals
+    x A B + sum_k A_<k [A_k, x] A_>k B, and x A B lies in n_- U, so the
+    word projects as its bracket terms: shorter words, again of negative
+    degree.  No bracket here has a central term, as the cocycle of
+    e_ij[u], e_kl[v] needs u + v = 0.  A word with no lower factor lies in
+    U(b_+), b_+ = h + n_+; with an upper factor it lies in U n_+ (sorting
+    its Cartan factors to the left keeps an upper factor in every term, as
+    [e_kk[v], e_ij[u]] is upper for i < j), and projects to 0.  A word with
+    neither is all-Cartan, its factors commute, and it projects to itself.
+    """
+    cache = algebra._straighten_cache.setdefault("triangular", {})
+    hit = cache.get(word)
+    if hit is not None:
+        return hit
+    low = next((k for k, g in enumerate(word) if g.i > g.j), None)
+    out = {}
+    if low is None:
+        if all(g.i == g.j for g in word):
+            out[0, tuple(sorted(word, key=gen_sort_key))] = 1
+    else:
+        x, rest = word[low], word[low + 1 :]
+        for k in range(low):
+            pre, post = word[:k], word[k + 1 : low] + rest
+            for g, c in algebra.bracket(word[k], x)[0]:
+                _accumulate(out, _project_word(algebra, pre + (g,) + post), c)
+    cache[word] = out
+    return out
+
+
 def hc_project(p):
     """Canonical projection onto the commutative algebra on the e_ii[u], u < 0.
 
-    The input is rewritten in the triangular order (lower-triangular factors
-    to the left, Cartan factors in the middle, upper-triangular to the
-    right); monomials containing an off-diagonal factor are then deleted.
-    Performing the deletion in that presentation realizes the projection
-    along n_- U + U n_+, which is the map sending the Sugawara vectors to
-    their diagonal-product images.  Deleting in a different presentation is
-    a different (non-canonical) linear map.
+    This is the projection of U = U(h) + (n_- U + U n_+) onto its first
+    summand, with n_- (n_+) spanned by the lower- (upper-) triangular
+    e_ij[u] of every loop degree: the map sending the Sugawara vectors to
+    their diagonal-product images.  It equals rewriting in the triangular
+    PBW order (lower-triangular factors left, Cartan in the middle,
+    upper-triangular right) and deleting every monomial with an
+    off-diagonal factor; deleting in a different presentation is a
+    different (non-canonical) linear map.
+
+    The decomposition is the triangular PBW theorem, and n_+ and n_- are
+    Lie subalgebras with no central term: [e_ij[u], e_kl[v]] stays strictly
+    upper (lower) when both factors are, and its cocycle carries
+    (e_ij, e_kl) = 2n d_jk d_il, which is 0 there.  So a word whose first
+    factor is lower-triangular lies in n_- U, one whose last factor is
+    upper-triangular lies in U n_+, and both project to 0 at once.
+    ``_project_word`` reduces each word by moving its lower factors out to
+    the left end, keeping only the bracket terms; its survivors are
+    all-Cartan.
     """
     table = {}
     for (k, word), c in p._terms.items():
@@ -275,12 +306,7 @@ def hc_project(p):
             raise DomainError("projection undefined: monomial contains tau")
         if any(g.u >= 0 for g in word):
             raise DomainError("projection undefined: nonnegative-degree factor")
-        tri = _straighten(p.algebra, word, "triangular")
-        _accumulate(
-            table,
-            {key: c2 for key, c2 in tri.items() if all(g.is_diagonal for g in key[1])},
-            c,
-        )
+        _accumulate(table, _project_word(p.algebra, word), c)
     return NCPoly._adopt(p.algebra, table)
 
 

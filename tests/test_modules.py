@@ -6,8 +6,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from critcenter.algebra import Gen
+from critcenter.algebra import AffineAlgebra, BilinearForm, Gen
 from critcenter.errors import DomainError, ValidationError
 from critcenter.modules import (
     ModuleVector,
@@ -407,6 +409,98 @@ def test_generator_centrality_matches_full_sweep():
     for state, n in non_central:
         assert not state_is_central(state, n), (n, state)
         assert not _central_by_full_sweep(state, n), (n, state)
+
+
+def _central_in_vacuum_module(state, n):
+    """Reference test: weight 0, then the n generators act on the vector S v_0."""
+    mod = vacuum_module(n)
+    vec = mod.act_poly(state, V0)
+    for word in vec._terms:
+        weight = [0] * (n + 1)
+        for g in word:
+            weight[g.i] += 1
+            weight[g.j] -= 1
+        if any(weight):
+            return False
+    generators = [Gen(i, i + 1, 0) for i in range(1, n)] + [Gen(n, 1, 1)]
+    return all(mod.act(g, vec).is_zero() for g in generators)
+
+
+# sum_ij e_ij[-3] e_ji[-1] at n = 2, as (terms, n): it is sl_2[0]-invariant,
+# so only e_21[1] detects that it is not central.
+TRACE_PAIRING = (
+    {(Gen(i, j, -3), Gen(j, i, -1)): 1 for i in (1, 2) for j in (1, 2)},
+    2,
+)
+
+
+def test_trace_pairing_is_killed_by_e12_but_not_e21_1():
+    terms, _n = TRACE_PAIRING
+    state = NCPoly(AffineAlgebra.critical(2), {(0, w): c for w, c in terms.items()})
+    mod = vacuum_module(2)
+    vec = mod.act_poly(state, V0)
+    assert mod.act(Gen(1, 2, 0), vec).is_zero()
+    assert not mod.act(Gen(2, 1, 1), vec).is_zero()
+    assert not state_is_central(state, 2)
+
+
+def _weight_zero_word(rows, degrees):
+    """The cycle e_{r1 r2}[u1] ... e_{rk r1}[uk]: each index is a row as often as a column."""
+    k = len(rows)
+    return tuple(Gen(rows[a], rows[(a + 1) % k], degrees[a]) for a in range(k))
+
+
+@st.composite
+def _centrality_cases(draw):
+    """(state terms, n): an S_l at n <= 4, possibly with one coefficient
+    flipped or one weight-0 word added."""
+    n = draw(st.integers(1, 4))
+    ell = draw(st.integers(1, n))
+    terms = dict(ss_vectors(n).S[ell - 1].words())
+    mutation = draw(st.sampled_from(["none", "flip", "add"]))
+    if mutation == "flip":
+        word = draw(st.sampled_from(sorted(terms)))
+        terms[word] = -terms[word]
+    elif mutation == "add":
+        k = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.integers(1, n), min_size=k, max_size=k))
+        degrees = draw(st.lists(st.integers(-3, -1), min_size=k, max_size=k))
+        word = _weight_zero_word(rows, degrees)
+        coeff = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+        alg = AffineAlgebra.critical(n)
+        mutant = NCPoly(alg, {(0, w): c for w, c in terms.items()})
+        terms = (mutant + NCPoly.from_word(alg, word, coeff)).words()
+    return terms, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(_centrality_cases())
+@example(TRACE_PAIRING)
+def test_centrality_matches_vacuum_module_oracle(case):
+    # The derivation path agrees with the vacuum-module path and the full
+    # sweep, whatever form the state is given in: an NCPoly over the
+    # critical algebra, a dict, a ModuleVector, an NCPoly over a
+    # non-critical level, and each word alone as a tuple.
+    terms, n = case
+    normal = {(0, w): c for w, c in terms.items()}
+    critical = NCPoly(AffineAlgebra.critical(n), normal, _normal=True)
+    expected = _central_in_vacuum_module(critical, n)
+    assert _central_by_full_sweep(critical, n) == expected
+    off_level = NCPoly(AffineAlgebra(n, BilinearForm(n, 1)), normal, _normal=True)
+    for form in (critical, dict(terms), ModuleVector(terms), off_level):
+        assert state_is_central(form, n) == expected, (n, form)
+    for word in terms:
+        single = NCPoly.from_word(AffineAlgebra.critical(n), word)
+        assert state_is_central(word, n) == _central_in_vacuum_module(single, n), word
+
+
+def test_centrality_rejects_indices_outside_the_rank():
+    with pytest.raises(ValidationError):
+        state_is_central(ss_vectors(3).S[0], 2)
+    with pytest.raises(ValidationError):
+        state_is_central({(Gen(0, 1, -1),): 1}, 2)
+    with pytest.raises(ValidationError):
+        state_is_central((Gen(1, 3, -1), Gen(3, 1, -2)), 2)
 
 
 def test_fourier_act_is_the_weighted_sum_over_monomials():

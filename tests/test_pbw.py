@@ -4,13 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critcenter.algebra import TAU, AffineAlgebra, BilinearForm, Gen, bracket, gen_sort_key
 from critcenter.errors import DomainError
 from critcenter.modules import ModuleVector, RootModule, root_fn_km0
-from critcenter.pbw import CommPoly, NCPoly, hc_project, nc_normal_form, symbol
+from critcenter.lincomb import _accumulate
+from critcenter.pbw import (
+    CommPoly,
+    NCPoly,
+    _project_word,
+    hc_project,
+    nc_normal_form,
+    symbol,
+)
 from critcenter.sugawara import ss_vectors
 
 
@@ -180,6 +188,87 @@ def test_hc_project_domain_errors():
         hc_project(NCPoly.generator(alg, Gen(1, 1, 0)))
     with pytest.raises(DomainError):
         hc_project(NCPoly.tau(alg))
+
+
+def _triangular_key(g):
+    # Lower-triangular factors first, then Cartan, then upper-triangular;
+    # ties broken by degree and index.
+    block = 0 if g.i > g.j else (1 if g.i == g.j else 2)
+    return (block, g.u, g.i, g.j)
+
+
+def _triangular_straighten(alg, word, cache):
+    """Normal form of a tau-free word in the triangular PBW order, by adjacent swaps."""
+    hit = cache.get(word)
+    if hit is not None:
+        return hit
+    keys = [_triangular_key(g) for g in word]
+    bad = next((k for k in range(len(word) - 1) if keys[k] > keys[k + 1]), None)
+    if bad is None:
+        out = {(0, word): 1}
+    else:
+        x, y = word[bad], word[bad + 1]
+        head, tail = word[:bad], word[bad + 2 :]
+        out = {}
+        _accumulate(out, _triangular_straighten(alg, head + (y, x) + tail, cache))
+        lie, central = alg.bracket(x, y)
+        for g, c in lie:
+            _accumulate(out, _triangular_straighten(alg, head + (g,) + tail, cache), c)
+        if central:
+            _accumulate(out, _triangular_straighten(alg, head + tail, cache), central)
+    cache[word] = out
+    return out
+
+
+def _project_by_deletion(alg, terms):
+    """Oracle: straighten in the triangular order, then delete every monomial
+    with an off-diagonal factor."""
+    cache, table = {}, {}
+    for word, c in terms:
+        tri = _triangular_straighten(alg, word, cache)
+        _accumulate(
+            table,
+            {key: c2 for key, c2 in tri.items() if all(g.is_diagonal for g in key[1])},
+            c,
+        )
+    return NCPoly._adopt(alg, table)
+
+
+CRITICAL = Fraction(-1, 2)
+_negative_words = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.builds(Gen, st.integers(1, n), st.integers(1, n), st.integers(-3, -1)),
+            max_size=5,
+        ).map(tuple),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_negative_words, st.sampled_from([CRITICAL, Fraction(1), Fraction(3, 7)]))
+@example((2, (Gen(2, 1, -1), Gen(2, 1, -1), Gen(1, 2, -2))), CRITICAL)
+@example((3, (Gen(1, 2, -1), Gen(2, 3, -1), Gen(3, 1, -1), Gen(1, 2, -1))), CRITICAL)
+@example((3, (Gen(1, 3, -2), Gen(1, 3, -2), Gen(3, 1, -1), Gen(3, 1, -1))), CRITICAL)
+def test_hc_project_matches_triangular_deletion(case, level):
+    # The pruned recursion equals straighten-and-delete on raw words and on
+    # their deglex normal forms, at any level, for words of any weight,
+    # with repeated factors.
+    n, word = case
+    alg = AffineAlgebra(n, BilinearForm(n, level))
+    assert NCPoly._adopt(alg, dict(_project_word(alg, word))) == _project_by_deletion(
+        alg, [(word, 1)]
+    )
+    p = NCPoly.from_word(alg, word, 3)
+    normal = [(w, c) for (_k, w), c in p._terms.items()]
+    assert hc_project(p) == _project_by_deletion(alg, normal)
+
+
+def test_hc_project_of_ss_is_omega_at_ranks_5_and_6():
+    for n in (5, 6):
+        fam = ss_vectors(n)
+        assert [hc_project(s) for s in fam.S] == list(fam.omega), n
 
 
 def test_hc_multiplicative_on_central_products():
