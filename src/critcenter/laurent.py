@@ -25,17 +25,9 @@ from .errors import (
     ValidationError,
     ZeroDivisorError,
 )
-from .lincomb import canonical
+from .lincomb import canonical, scalar_from_str, scalar_to_str, signed_sum
 
 Scalar = Fraction
-
-
-def scalar_from_str(text):
-    """Parse "num/den" (or a bare integer string) into a Fraction."""
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a rational number: {text!r}") from exc
 
 
 def int_from_json(value, what):
@@ -43,10 +35,6 @@ def int_from_json(value, what):
     if type(value) is not int:
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return value
-
-
-def scalar_to_str(value):
-    return str(Fraction(value))
 
 
 class _Infinity:
@@ -311,19 +299,9 @@ class LaurentElement:
         return f"LaurentElement({self!s})"
 
     def __str__(self):
-        parts = []
-        for k, c in self.items():
-            if k == 0:
-                parts.append(str(c))
-            else:
-                base = "t" if k == 1 else f"t^{k}"
-                if c == 1:
-                    parts.append(base)
-                elif c == -1:
-                    parts.append(f"-{base}")
-                else:
-                    parts.append(f"{c}*{base}")
-        body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        body = signed_sum(
+            (c, "" if k == 0 else "t" if k == 1 else f"t^{k}") for k, c in self.items()
+        )
         if self.precision is not None:
             tail = f"O(t^{self.precision})"
             body = tail if body == "0" else f"{body} + {tail}"

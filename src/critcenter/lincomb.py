@@ -5,12 +5,17 @@ are all a dict from a normal-form key to a nonzero scalar in canonical form:
 an int when integral, else a Fraction (``hash(3) == hash(Fraction(3))``, so
 equality and hashing cannot tell).  This module owns that representation:
 sums accumulate into one dict and delete the keys that cancel, so no table
-ever stores a zero and equality is dict equality.
+ever stores a zero and equality is dict equality.  It also owns their text
+form (``signed_sum``, shared with Laurent elements) and their JSON form, a
+list of ``{"coeff": "num/den", "word": [token, ...]}``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .algebra import TAU, gen_from_str
+from .errors import ValidationError
 
 
 def canonical(value):
@@ -20,6 +25,52 @@ def canonical(value):
     if type(value) is not Fraction:
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def scalar_from_str(text):
+    """Parse "num/den" (or a bare integer string) into a Fraction."""
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"not a rational number: {text!r}") from exc
+
+
+def scalar_to_str(value):
+    return str(Fraction(value))
+
+
+def signed_sum(terms):
+    """The text of sum c * body over (c, body) pairs, as "a - b", never "a + -b".
+
+    A unit coefficient is left out, and an empty body stands for the bare
+    scalar c.  The empty sum is "0".
+    """
+    parts = []
+    for c, body in terms:
+        if not body:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(body)
+        elif c == -1:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{c}*{body}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def _word_factors(token):
+    """The factors a JSON word token stands for: "tau^k" is k tau tokens, "one" none."""
+    token = token.strip()
+    if token == "one":
+        return ()
+    if token == "tau":
+        return (TAU,)
+    if token.startswith("tau^"):
+        power = token[4:]
+        if not power.isdecimal():
+            raise ValidationError(f"cannot parse tau power {token!r}")
+        return (TAU,) * int(power)
+    return (gen_from_str(token),)
 
 
 def _accumulate(table, terms, scale=1):
@@ -49,7 +100,9 @@ class LinComb:
 
     Subclasses that use this constructor define ``_key``, which brings a key
     given to it into normal form.  Tables built elsewhere already hold normal
-    keys and int or Fraction values, never zero; ``_adopt`` wraps them.
+    keys and int or Fraction values, never zero; ``_adopt`` wraps them.  For
+    text and JSON a subclass defines ``_tokens``, a key's JSON word, and may
+    override ``_display_key``, the sort key of a key, and ``_body``, its text.
     """
 
     __slots__ = ("_terms",)
@@ -115,3 +168,36 @@ class LinComb:
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
+
+    # -- presentation ------------------------------------------------------
+
+    @staticmethod
+    def _display_key(key):
+        return key
+
+    def _body(self, key):
+        return "*".join(self._tokens(key)) or "1"
+
+    def items(self):
+        """The terms as (key, coeff) pairs in display order."""
+        order = self._display_key
+        return sorted(self._terms.items(), key=lambda kv: order(kv[0]))
+
+    def __str__(self):
+        return signed_sum((c, self._body(key)) for key, c in self.items())
+
+    __repr__ = __str__
+
+    def to_json(self):
+        return [
+            {"coeff": scalar_to_str(c), "word": self._tokens(key)}
+            for key, c in self.items()
+        ]
+
+    @staticmethod
+    def _json_terms(data):
+        """(coeff, factors) per JSON term; a word is a product read left to right."""
+        return [
+            (scalar_from_str(t["coeff"]), sum(map(_word_factors, t["word"]), ()))
+            for t in data
+        ]

@@ -60,9 +60,9 @@ import math
 import os
 from fractions import Fraction
 
-from .algebra import AffineAlgebra, BilinearForm, Gen, gen_from_str, gen_sort_key
+from .algebra import TAU, AffineAlgebra, BilinearForm, Gen, gen_sort_key
 from .errors import DomainError, ValidationError
-from .laurent import LaurentElement, scalar_from_str, scalar_to_str
+from .laurent import LaurentElement
 from .lincomb import LinComb, _accumulate, canonical
 from .pbw import NCPoly, _straighten
 from .sugawara import MinorNode, ss_nodes
@@ -210,43 +210,23 @@ class ModuleVector(LinComb):
     def vacuum(cls):
         return cls({(): 1})
 
-    def items(self):
-        return sorted(
-            self._terms.items(),
-            key=lambda kv: (len(kv[0]), [gen_sort_key(g) for g in kv[0]]),
-        )
+    @staticmethod
+    def _display_key(word):
+        return len(word), [gen_sort_key(g) for g in word]
 
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for word, c in self.items():
-            body = "*".join(repr(g) for g in word) if word else "v0"
-            if word:
-                body += "*v0"
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+    @staticmethod
+    def _tokens(word):
+        return [repr(g) for g in word]
 
-    __repr__ = __str__
-
-    def to_json(self):
-        return [
-            {"coeff": scalar_to_str(c), "word": [repr(g) for g in word]}
-            for word, c in self.items()
-        ]
+    def _body(self, word):
+        return "*".join(self._tokens(word) + ["v0"])
 
     @classmethod
     def from_json(cls, data):
-        terms = []
-        for entry in data:
-            word = tuple(gen_from_str(tok) for tok in entry["word"])
-            terms.append((word, scalar_from_str(entry["coeff"])))
-        return cls(terms)
+        terms = cls._json_terms(data)
+        if any(TAU in word for _c, word in terms):
+            raise ValidationError("module vector words hold loop generators only")
+        return cls((word, c) for c, word in terms)
 
 
 def _field_states(state):
@@ -619,29 +599,42 @@ def state_is_central(state, n):
     """Exact membership test for the centre of the vacuum vertex algebra.
 
     A state lies in the centre iff gl_n[t] kills it, i.e. e_ij[u] kills it
-    for every u >= 0.  It suffices that every monomial of the state vector
-    has gl_n-weight 0 and that the n generators e_{i,i+1}[0] (1 <= i < n)
-    and e_{n,1}[1] kill it:
+    for every u >= 0.  It suffices that the n generators e_{i,i+1}[0]
+    (1 <= i < n) and e_{n,1}[1] kill it:
 
-    * Weight.  e_ii[0] kills v_0 and acts on a creation monomial by its
-      weight, the count of factors with row i minus those with column i.
-      The monomials are a basis, so a monomial of nonzero weight means some
-      e_ii[0] does not kill the vector, and it is not central.
-    * n_-[0].  Each graded piece of the vacuum module is a finite-dimensional
-      sl_n-module, and the vector lies in finitely many of them.  A vector of
-      weight 0 that n_+[0] kills (the e_{i,i+1}[0] generate n_+) generates a
-      finite-dimensional highest-weight module of highest weight 0.  That
-      module is a quotient of the Verma module, semisimple by Weyl's theorem
-      and generated by one highest-weight vector, so it is irreducible: the
-      trivial module.  So n_-[0] kills the vector too, and with the Cartan
-      part, sl_n[0] does.
     * The annihilator of a vector is a Lie subalgebra, since
       [x, y] v = x (y v) - y (x v).
-    * sl_n and e_{n,1}[1] generate sl_n[t]: the adjoint sl_n-module sl_n t
-      is irreducible and contains e_{n,1}[1], so it is generated; and
-      [sl_n t, sl_n t^k] = sl_n t^(k+1) because [sl_n, sl_n] = sl_n.
-    * No central term arises on the way: the cocycle of e_ij[a], e_kl[b]
-      carries the factor b d_{a+b,0}, which vanishes for a, b >= 0.
+    * The generators generate n_+[0] and sl_n t[t] = sl_n tensor tC[t]:
+      n_+[0] applied to e_{n,1}[1] gives sl_n t, as e_{n,1} is the lowest
+      weight vector of the irreducible adjoint module, and
+      [sl_n t, sl_n t^k] = sl_n t^(k+1) as [sl_n, sl_n] = sl_n.  No central
+      term arises: the cocycle of e_ij[a], e_kl[b] carries the factor
+      b d_{a+b,0}, which vanishes for a, b >= 0.
+    * Weight 0.  e_ii[0] acts on a creation monomial by its weight, the
+      count of factors with row i minus those with column i, and each root
+      vector or Cartan element of n_+[0] + sl_n t[t] shifts weights by a
+      fixed amount.  So each weight component v_lambda of the vector is
+      killed too: a highest-weight vector for sl_n[0] in finitely many
+      graded pieces (finite-dimensional sl_n-modules), so lambda is
+      dominant.  The form restricts to the Killing form 2n tr(XY) of sl_n,
+      so the level is critical for sl_n too, and the mode S_(1) of sl_n's
+      quadratic Segal-Sugawara vector S = 1/2 sum_a J^a[-1] J_a[-1] v_0
+      commutes with affine sl_n (S is central) and with each I[u] (its
+      field has no singular product with an sl_n field).  It kills v_0, so
+      it acts as 0.  On v_lambda every term of S_(1) but
+      1/2 sum_a J^a[0] J_a[0] ends in a mode of sl_n t[t], so S_(1) acts
+      as the Casimir 1/2 (lambda, lambda + 2 rho), positive for dominant
+      lambda != 0.  So lambda is 0 on the Cartan subalgebra of sl_n: the
+      gl_n weight is constant over i.  It sums to 0 over i, as each factor
+      adds 1 at its row and -1 at its column, so it is 0.
+    * n_-[0].  Each graded piece of the vacuum module is a finite-dimensional
+      sl_n-module, and the vector lies in finitely many of them.  A vector of
+      weight 0 that n_+[0] kills generates a finite-dimensional
+      highest-weight module of highest weight 0.  That module is a quotient
+      of the Verma module, semisimple by Weyl's theorem and generated by one
+      highest-weight vector, so it is irreducible: the trivial module.  So
+      n_-[0] kills the vector too, and with the Cartan part and sl_n t[t],
+      sl_n[t] does.
     * gl_n[t] = sl_n[t] + I[t], and each I[u], u >= 0, kills every vector:
       (I, e_ij) = 2n d_ij - 2n d_ij = 0 in the modified form, so I[u] is
       central in the affine algebra, and I[u] v_0 = 0 in the vacuum module.
@@ -670,13 +663,6 @@ def state_is_central(state, n):
     so that every bracket is taken at the critical level.
     """
     algebra, words = _critical_words(state, n)
-    for word in words:
-        weight = [0] * (n + 1)
-        for g in word:
-            weight[g.i] += 1
-            weight[g.j] -= 1
-        if any(weight):
-            return False
     generators = [Gen(i, i + 1, 0) for i in range(1, n)] + [Gen(n, 1, 1)]
     return all(_kills_state(algebra, g, words) for g in generators)
 

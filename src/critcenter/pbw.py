@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import TAU, gen_from_str, gen_sort_key, tau_bracket
+from .algebra import TAU, gen_sort_key, tau_bracket
 from .errors import DomainError, ValidationError
-from .laurent import scalar_from_str, scalar_to_str
 from .lincomb import LinComb, _accumulate, canonical
 
 
@@ -91,14 +90,8 @@ class NCPoly(LinComb):
 
     @classmethod
     def _adopt(cls, algebra, table):
-        """Wrap a normal table whose values are int or Fraction, never zero.
-
-        The polynomial takes ownership of ``table`` without copying or
-        re-normalising it, so sums built in one dict stay linear.
-        """
-        poly = cls.__new__(cls)
+        poly = super()._adopt(table)
         poly.algebra = algebra
-        poly._terms = table
         return poly
 
     def _new(self, table):
@@ -123,17 +116,6 @@ class NCPoly(LinComb):
         return cls(algebra, {(tau_power, tuple(word)): coeff})
 
     # -- queries -----------------------------------------------------------
-
-    def items(self):
-        """Monomials in display order: tau power descending, then word order."""
-        return sorted(
-            self._terms.items(),
-            key=lambda kv: (
-                -kv[0][0],
-                len(kv[0][1]),
-                [gen_sort_key(g) for g in kv[0][1]],
-            ),
-        )
 
     def coefficient(self, tau_power, word):
         return self._terms.get((tau_power, tuple(word)), 0)
@@ -182,55 +164,26 @@ class NCPoly(LinComb):
 
     # -- presentation ------------------------------------------------------
 
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for (k, word), c in self.items():
-            factors = []
-            if k == 1:
-                factors.append("tau")
-            elif k > 1:
-                factors.append(f"tau^{k}")
-            factors.extend(repr(g) for g in word)
-            body = "*".join(factors) if factors else "1"
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+    @staticmethod
+    def _display_key(key):
+        """Tau power descending, then word order."""
+        k, word = key
+        return -k, len(word), [gen_sort_key(g) for g in word]
 
-    __repr__ = __str__
+    @staticmethod
+    def _tokens(key):
+        k, word = key
+        return ([f"tau^{k}"] if k else []) + [repr(g) for g in word]
 
-    def to_json(self):
-        out = []
-        for (k, word), c in self.items():
-            tokens = [f"tau^{k}"] if k else []
-            tokens.extend(repr(g) for g in word)
-            out.append({"coeff": scalar_to_str(c), "word": tokens})
-        return out
+    def _body(self, key):
+        tokens = self._tokens(key)
+        if key[0] == 1:
+            tokens[0] = "tau"
+        return "*".join(tokens) or "1"
 
     @classmethod
     def from_json(cls, algebra, data):
-        terms = []
-        for entry in data:
-            coeff = scalar_from_str(entry["coeff"])
-            tau_pow = 0
-            word = []
-            for token in entry["word"]:
-                token = token.strip()
-                if token == "one":
-                    continue
-                if token == "tau":
-                    tau_pow += 1
-                elif token.startswith("tau^"):
-                    tau_pow += int(token[4:])
-                else:
-                    word.append(gen_from_str(token))
-            terms.append(((tau_pow, tuple(word)), coeff))
-        return cls(algebra, terms)
+        return nc_normal_form(algebra, cls._json_terms(data))
 
 
 def nc_normal_form(algebra, raw):
@@ -331,9 +284,6 @@ class CommPoly(LinComb):
     def symbol(cls, i, j, u):
         return cls({((i, j, u),): 1})
 
-    def items(self):
-        return sorted(self._terms.items())
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -345,16 +295,9 @@ class CommPoly(LinComb):
 
     __rmul__ = __mul__
 
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, c in self.items():
-            body = "*".join(f"x[{i},{j};{u}]" for (i, j, u) in mono) or "1"
-            parts.append(body if c == 1 else f"{c}*{body}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    @staticmethod
+    def _tokens(mono):
+        return [f"x[{i},{j};{u}]" for (i, j, u) in mono]
 
 
 def symbol(p):

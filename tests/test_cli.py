@@ -191,7 +191,25 @@ def test_moyprasad_flags(capsys):
 def test_pretty_output_default(capsys):
     code, out, _ = _run(capsys, "ss", "--n", "2")
     assert code == 0
-    assert "S_1 = e[1,1;-1] + e[2,2;-1]" in out
+    assert out == (
+        "rank 2 Sugawara vectors\n"
+        "S_1 = e[1,1;-1] + e[2,2;-1]\n"
+        "omega_1 = e[1,1;-1] + e[2,2;-1]\n"
+        "S_2 = -e[2,2;-2] + e[1,1;-1]*e[2,2;-1] - e[1,2;-1]*e[2,1;-1]\n"
+        "omega_2 = -e[1,1;-2] + e[1,1;-1]*e[2,2;-1]\n"
+    )
+
+
+def test_act_pretty_output(capsys):
+    code, out, _ = _run(
+        capsys, "act", "--case", "km0", "--n", "3", "--m", "1", "--ell", "3", "--N", "2"
+    )
+    assert code == 0
+    assert out == (
+        "S_3,[2] . v0 = 2*e[3,3;0]*v0 + 2*e[1,1;0]*e[3,3;0]*v0"
+        " + e[2,2;0]*e[3,3;0]*v0 + e[1,1;0]*e[2,2;0]*e[3,3;0]*v0"
+        " - e[1,2;0]*e[2,1;0]*e[3,3;0]*v0\n"
+    )
 
 
 def test_payload_from_file_and_stdin(tmp_path, capsys, monkeypatch):
@@ -306,15 +324,13 @@ def _benchmark_inputs():
 
 
 BENCHMARK_INPUTS = _benchmark_inputs()
-OPER_SIDE = [
-    entry for entry in BENCHMARK_INPUTS.CATALOGUE
-    if entry[1][0] in ("miura", "irr", "cyclic", "oper")
-]
+CATALOGUE = BENCHMARK_INPUTS.CATALOGUE
 
 
-@pytest.mark.parametrize("name,argv", OPER_SIDE, ids=[name for name, _ in OPER_SIDE])
+@pytest.mark.parametrize("name,argv", CATALOGUE, ids=[name for name, _ in CATALOGUE])
 def test_oper_side_output_matches_recorded_digest(capsys, name, argv):
-    # the benchmark's recorded stdout digests, checked here in-process
+    # the benchmark's recorded stdout digests of every catalogue request, the
+    # algebra side (ss, hc, verify, report, act) included, checked in-process
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critcenter.algebra import AffineAlgebra, BilinearForm, Gen
+from critcenter.algebra import AffineAlgebra, BilinearForm, Gen, gen_sort_key
 from critcenter.errors import DomainError, ValidationError
 from critcenter.modules import (
     ModuleVector,
@@ -444,28 +444,32 @@ def test_trace_pairing_is_killed_by_e12_but_not_e21_1():
     assert not state_is_central(state, 2)
 
 
-def _weight_zero_word(rows, degrees):
-    """The cycle e_{r1 r2}[u1] ... e_{rk r1}[uk]: each index is a row as often as a column."""
-    k = len(rows)
-    return tuple(Gen(rows[a], rows[(a + 1) % k], degrees[a]) for a in range(k))
+def _path_word(rows, degrees):
+    """e_{r0 r1}[u0] e_{r1 r2}[u1] ...: its weight is that of e_{r0 rk}, 0 iff r0 = rk."""
+    return tuple(Gen(rows[a], rows[a + 1], u) for a, u in enumerate(degrees))
 
 
 @st.composite
 def _centrality_cases(draw):
     """(state terms, n): an S_l at n <= 4, possibly with one coefficient
-    flipped or one weight-0 word added."""
+    flipped, or one word added, of weight 0 or (for n > 1) not."""
     n = draw(st.integers(1, 4))
     ell = draw(st.integers(1, n))
     terms = dict(ss_vectors(n).S[ell - 1].words())
-    mutation = draw(st.sampled_from(["none", "flip", "add"]))
+    mutations = ["none", "flip", "add"] + (["add-weighted"] if n > 1 else [])
+    mutation = draw(st.sampled_from(mutations))
     if mutation == "flip":
         word = draw(st.sampled_from(sorted(terms)))
         terms[word] = -terms[word]
-    elif mutation == "add":
+    elif mutation.startswith("add"):
         k = draw(st.integers(1, 3))
         rows = draw(st.lists(st.integers(1, n), min_size=k, max_size=k))
+        if mutation == "add":
+            end = rows[0]
+        else:
+            end = draw(st.integers(1, n).filter(lambda r: r != rows[0]))
         degrees = draw(st.lists(st.integers(-3, -1), min_size=k, max_size=k))
-        word = _weight_zero_word(rows, degrees)
+        word = _path_word(rows + [end], degrees)
         coeff = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
         alg = AffineAlgebra.critical(n)
         mutant = NCPoly(alg, {(0, w): c for w, c in terms.items()})
@@ -966,8 +970,25 @@ def test_conductor_irregularity_report():
             assert report["vanishing_verified"]
 
 
-def test_module_vector_json_round_trip():
-    rf = root_fn_km0(2, 1)
-    mod = RootModule(rf)
-    vec = mod.act(Gen(2, 1, 0), V0).scale(Fraction(3, 7)) - V0
-    assert ModuleVector.from_json(vec.to_json()) == vec
+_module_words = st.lists(
+    st.builds(Gen, st.integers(1, 2), st.integers(1, 2), st.integers(-2, 0)), max_size=3
+).map(lambda w: tuple(sorted(w, key=gen_sort_key)))
+
+
+@given(
+    st.lists(
+        st.tuples(_module_words, st.fractions(min_value=-3, max_value=3, max_denominator=7)),
+        max_size=5,
+    )
+)
+@example([((Gen(2, 1, 0), Gen(2, 1, 0)), Fraction(3, 7)), ((), -1)])
+def test_module_vector_json_round_trip(terms):
+    vec = ModuleVector(terms)
+    parsed = ModuleVector.from_json(vec.to_json())
+    assert parsed == vec
+    assert str(parsed) == str(vec)
+
+
+def test_module_vector_json_rejects_tau():
+    with pytest.raises(ValidationError):
+        ModuleVector.from_json([{"coeff": "1", "word": ["tau", "e[1,1;0]"]}])

@@ -314,12 +314,49 @@ def test_symbol_multiplicative_without_cancellation():
         assert symbol(p * q) == symbol(p) * symbol(q)
 
 
-def test_json_round_trip():
+_raw_terms = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.lists(st.builds(Gen, st.integers(1, 2), st.integers(1, 2), st.integers(-2, 1)),
+                 max_size=3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ),
+    max_size=5,
+)
+
+
+@given(_raw_terms)
+@example([(1, [Gen(1, 2, -1)], 1), (0, [], Fraction(-3, 2))])
+@example([(2, [Gen(2, 1, -1), Gen(2, 1, -1)], Fraction(5, 3)), (3, [], -1)])
+def test_json_round_trip(raw):
+    # sums of tau^k times any word (repeated factors included), straightened
     alg = _alg()
-    p = NCPoly.tau(alg) * NCPoly.generator(alg, Gen(1, 2, -1)) + NCPoly.one(alg).scale(
-        Fraction(-3, 2)
+    p = NCPoly(alg, [((k, tuple(word)), c) for k, word, c in raw])
+    q = NCPoly.from_json(alg, p.to_json())
+    assert q == p
+    assert str(q) == str(p)
+
+
+def test_json_word_is_a_product_read_left_to_right():
+    # tau after a generator does not move to the front for free:
+    # e[1,1;-1] tau = tau e[1,1;-1] - e[1,1;-2]
+    alg = _alg()
+    x = Gen(1, 1, -1)
+    parsed = NCPoly.from_json(alg, [{"coeff": "1", "word": ["e[1,1;-1]", "tau"]}])
+    assert parsed == NCPoly.tau(alg) * NCPoly.generator(alg, x) - NCPoly.generator(
+        alg, Gen(1, 1, -2)
     )
-    assert NCPoly.from_json(alg, p.to_json()) == p
+    # "tau^k" is k tau factors where it stands, and "one" is skipped
+    data = [{"coeff": "-2/3", "word": ["tau^2", "one", "e[1,1;-1]", "tau"]}]
+    expected = nc_normal_form(alg, [(Fraction(-2, 3), (TAU, TAU, x, TAU))])
+    assert NCPoly.from_json(alg, data) == expected
+
+
+def test_comm_poly_text_folds_signs():
+    p = CommPoly({((1, 2, -1), (2, 1, -1)): -1, ((1, 1, -1),): 1, (): Fraction(1, 2)})
+    assert str(p) == "1/2*1 + x[1,1;-1] - x[1,2;-1]*x[2,1;-1]"
+    assert str(-CommPoly.symbol(1, 1, -2)) == "-x[1,1;-2]"
+    assert str(CommPoly()) == "0"
 
 
 # -- linear sums ---------------------------------------------------------------
