@@ -67,6 +67,28 @@ def gen_from_str(token):
     return Gen(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
+def tau_token(k):
+    """The JSON word token of tau^k for k >= 1."""
+    return f"tau^{k}"
+
+
+def word_from_tokens(tokens):
+    """The factors of a JSON word, a product read left to right.
+
+    "tau^k" stands for k tau factors where it is, and "one" for none.
+    """
+    word = []
+    for token in map(str.strip, tokens):
+        if token == "tau" or token.startswith("tau^"):
+            power = "1" if token == "tau" else token[4:]
+            if not power.isdecimal():
+                raise ValidationError(f"cannot parse tau power {token!r}")
+            word += [TAU] * int(power)
+        elif token != "one":
+            word.append(gen_from_str(token))
+    return tuple(word)
+
+
 def gen_sort_key(g):
     """Total order on loop generators: degree first, then (i, j) lexicographic."""
     return (g.u, g.i, g.j)

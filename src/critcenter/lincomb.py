@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import TAU, gen_from_str
 from .errors import ValidationError
 
 
@@ -56,21 +55,6 @@ def signed_sum(terms):
         else:
             parts.append(f"{c}*{body}")
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
-
-def _word_factors(token):
-    """The factors a JSON word token stands for: "tau^k" is k tau tokens, "one" none."""
-    token = token.strip()
-    if token == "one":
-        return ()
-    if token == "tau":
-        return (TAU,)
-    if token.startswith("tau^"):
-        power = token[4:]
-        if not power.isdecimal():
-            raise ValidationError(f"cannot parse tau power {token!r}")
-        return (TAU,) * int(power)
-    return (gen_from_str(token),)
 
 
 def _accumulate(table, terms, scale=1):
@@ -195,9 +179,6 @@ class LinComb:
         ]
 
     @staticmethod
-    def _json_terms(data):
-        """(coeff, factors) per JSON term; a word is a product read left to right."""
-        return [
-            (scalar_from_str(t["coeff"]), sum(map(_word_factors, t["word"]), ()))
-            for t in data
-        ]
+    def _json_terms(data, read_word):
+        """(coeff, read_word(word)) per JSON term."""
+        return [(scalar_from_str(t["coeff"]), read_word(t["word"])) for t in data]

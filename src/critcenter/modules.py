@@ -60,7 +60,7 @@ import math
 import os
 from fractions import Fraction
 
-from .algebra import TAU, AffineAlgebra, BilinearForm, Gen, gen_sort_key
+from .algebra import TAU, AffineAlgebra, BilinearForm, Gen, gen_sort_key, word_from_tokens
 from .errors import DomainError, ValidationError
 from .laurent import LaurentElement
 from .lincomb import LinComb, _accumulate, canonical
@@ -223,7 +223,7 @@ class ModuleVector(LinComb):
 
     @classmethod
     def from_json(cls, data):
-        terms = cls._json_terms(data)
+        terms = cls._json_terms(data, word_from_tokens)
         if any(TAU in word for _c, word in terms):
             raise ValidationError("module vector words hold loop generators only")
         return cls((word, c) for c, word in terms)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import TAU, gen_sort_key, tau_bracket
+from .algebra import TAU, gen_sort_key, tau_bracket, tau_token, word_from_tokens
 from .errors import DomainError, ValidationError
 from .lincomb import LinComb, _accumulate, canonical
 
@@ -173,7 +173,7 @@ class NCPoly(LinComb):
     @staticmethod
     def _tokens(key):
         k, word = key
-        return ([f"tau^{k}"] if k else []) + [repr(g) for g in word]
+        return ([tau_token(k)] if k else []) + [repr(g) for g in word]
 
     def _body(self, key):
         tokens = self._tokens(key)
@@ -183,7 +183,7 @@ class NCPoly(LinComb):
 
     @classmethod
     def from_json(cls, algebra, data):
-        return nc_normal_form(algebra, cls._json_terms(data))
+        return nc_normal_form(algebra, cls._json_terms(data, word_from_tokens))
 
 
 def nc_normal_form(algebra, raw):

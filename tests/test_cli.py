@@ -330,7 +330,9 @@ CATALOGUE = BENCHMARK_INPUTS.CATALOGUE
 @pytest.mark.parametrize("name,argv", CATALOGUE, ids=[name for name, _ in CATALOGUE])
 def test_oper_side_output_matches_recorded_digest(capsys, name, argv):
     # the benchmark's recorded stdout digests of every catalogue request, the
-    # algebra side (ss, hc, verify, report, act) included, checked in-process
+    # algebra side (ss, hc, verify, report, act) included, checked in-process;
+    # the name predates the algebra-side cases and is kept so the ids of the
+    # oper-side cases stay as they were
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critcenter.algebra import TAU, AffineAlgebra, BilinearForm, Gen, bracket, gen_sort_key
-from critcenter.errors import DomainError
+from critcenter.errors import DomainError, ValidationError
 from critcenter.modules import ModuleVector, RootModule, root_fn_km0
 from critcenter.lincomb import _accumulate
 from critcenter.pbw import (
@@ -350,6 +350,9 @@ def test_json_word_is_a_product_read_left_to_right():
     data = [{"coeff": "-2/3", "word": ["tau^2", "one", "e[1,1;-1]", "tau"]}]
     expected = nc_normal_form(alg, [(Fraction(-2, 3), (TAU, TAU, x, TAU))])
     assert NCPoly.from_json(alg, data) == expected
+    for bad in ("tau^", "tau^-1", "tau^x"):
+        with pytest.raises(ValidationError):
+            NCPoly.from_json(alg, [{"coeff": "1", "word": [bad]}])
 
 
 def test_comm_poly_text_folds_signs():
