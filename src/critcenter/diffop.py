@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm, prod
+from math import lcm
 
 from .errors import (
     CyclicVectorNotFoundError,
@@ -113,9 +113,13 @@ def miura(h):
 
 
 class Connection:
-    """D = d/dt + A acting on column vectors of Laurent series."""
+    """D = d/dt + A acting on column vectors of Laurent series.
 
-    __slots__ = ("matrix",)
+    ``denominator`` is the common denominator L of A's coefficients and
+    ``integral`` is L*A, whose coefficients are ints.
+    """
+
+    __slots__ = ("matrix", "denominator", "integral")
 
     def __init__(self, matrix):
         matrix = tuple(tuple(row) for row in matrix)
@@ -123,6 +127,12 @@ class Connection:
         if n == 0 or any(len(row) != n for row in matrix):
             raise ValidationError("connection matrix must be square and nonempty")
         self.matrix = matrix
+        self.denominator = lcm(
+            *(c.denominator for row in matrix for e in row for _, c in e.items())
+        )
+        self.integral = tuple(
+            tuple(e.scale(self.denominator) for e in row) for row in matrix
+        )
 
     @property
     def rank(self):
@@ -130,17 +140,33 @@ class Connection:
 
     def apply(self, vector):
         """D(v) = v' + A v, componentwise exact."""
+        return self._images(vector, 2, scaled=False)[1]
+
+    def _images(self, vector, count, scaled=True):
+        """The first ``count`` images W_k = L^k D^k v, or D^k v if not scaled.
+
+        Each step is W_{k+1} = L W_k' + (L A) W_k, summed row by row left to
+        right, and it is D(v) = v' + A v when L = 1.  By induction W_k is
+        exactly L^k D^k v, and as multiplying by the nonzero constant L
+        moves no lower bound, no precision and no exact zero, the tracked
+        precision of W_k is that of D^k v.
+        """
         if len(vector) != self.rank:
             raise DimensionMismatchError(
                 f"vector of length {len(vector)} against rank {self.rank}"
             )
-        out = []
-        for r in range(self.rank):
-            entry = vector[r].derivative()
-            for c in range(self.rank):
-                entry = entry + self.matrix[r][c] * vector[c]
-            out.append(entry)
-        return out
+        matrix, scale = (self.integral, self.denominator) if scaled else (self.matrix, 1)
+        images = [list(vector)]
+        for _ in range(count - 1):
+            w = images[-1]
+            image = []
+            for row, entry in zip(matrix, w):
+                entry = entry.derivative().scale(scale)
+                for a, x in zip(row, w):
+                    entry = entry + a * x
+                image.append(entry)
+            images.append(image)
+        return images
 
     def to_json(self):
         return {
@@ -190,21 +216,14 @@ def _cofactor_minors(rows, orders):
     orders that end in the same column suffix reuse each other's
     sub-minors, which brings n! products down to n 2^(n-1) per order.  After
     each order, the minors of suffixes that no later order ends in are
-    dropped.
-
-    Each row is first scaled by the common denominator of its entries, so
-    every minor in the table has integer coefficients; every full minor
-    carries the product of all scales, which is divided out once at the end.
+    dropped.  Entries are used as given: the callers pass scaled images,
+    whose coefficients are ints for an integral vector.
     """
-    scales = [
-        lcm(*(c.denominator for e in row for _, c in e.items())) for row in rows
-    ]
-    entries = [[e.scale(scale) for e in row] for row, scale in zip(rows, scales)]
     memo = {}  # column suffix -> {remaining rows: minor}
 
     def minor(live, cols):
         if len(cols) == 1:
-            return entries[live[0]][cols[0]]
+            return rows[live[0]][cols[0]]
         known = memo.setdefault(cols, {})
         total = known.get(live)
         if total is not None:
@@ -212,7 +231,7 @@ def _cofactor_minors(rows, orders):
         rest = cols[1:]
         total = LaurentElement.zero()
         for pos, r in enumerate(live):
-            entry = entries[r][cols[0]]
+            entry = rows[r][cols[0]]
             if entry.is_zero():
                 continue
             cofactor = minor(live[:pos] + live[pos + 1 :], rest)
@@ -222,10 +241,9 @@ def _cofactor_minors(rows, orders):
 
     live = tuple(range(len(rows)))
     orders = [tuple(order) for order in orders]
-    unscale = Fraction(1, prod(scales))
     out = []
     for j, order in enumerate(orders):
-        out.append(minor(live, order).scale(unscale))
+        out.append(minor(live, order))
         # keep peak memory down: drop the minors no later order ends in
         later = {o[k:] for o in orders[j + 1 :] for k in range(len(o))}
         for cols in memo.keys() - later:
@@ -245,18 +263,19 @@ def oper_to_connection(chi):
     return Connection(matrix)
 
 
-def _iterated_images(conn, vector):
-    images = [list(vector)]
-    for _ in range(conn.rank):
-        images.append(conn.apply(images[-1]))
-    return images
-
-
 def certificate_determinant(conn, vector):
-    """det(v | Dv | ... | D^{n-1} v), exact."""
-    images = _iterated_images(conn, vector)[: conn.rank]
-    matrix = [[images[c][r] for c in range(conn.rank)] for r in range(conn.rank)]
-    return laurent_matrix_det(matrix)
+    """det(v | Dv | ... | D^{n-1} v), exact.
+
+    Read from the scaled images W_k = L^k D^k v, whose determinant is
+    L^(n(n-1)/2) times it: every term of a minor carries the same power of
+    L, so the scaling changes no tracked precision.
+    """
+    n = conn.rank
+    images = conn._images(vector, n)
+    matrix = [[images[c][r] for c in range(n)] for r in range(n)]
+    return laurent_matrix_det(matrix).scale(
+        Fraction(1, conn.denominator ** (n * (n - 1) // 2))
+    )
 
 
 def cyclic_vector_search(conn, degree_bound=3):
@@ -315,18 +334,27 @@ def connection_to_oper(conn, vector, working_precision=None):
 
     Components of the cyclic vector must be exact (finite) Laurent elements.
     The certificate determinant and the n numerators are read from one minor
-    table over the augmented matrix (D^{n-1} v, ..., v | D^n v), so they
-    share every minor of the columns they have in common.  The division by
-    the certificate determinant uses truncated series inversion; a
-    single-monomial determinant inverts exactly, so companion systems
-    round-trip with no precision loss.
+    table over the augmented matrix (W_{n-1}, ..., W_0 | W_n) of the scaled
+    images W_k = L^k D^k v (``Connection._images``), so they share every
+    minor of the columns they have in common, and for an integral vector
+    the table runs on ints.  Column c < n carries the factor L^(n-1-c) and
+    column n the factor L^n, so det_W = L^(n(n-1)/2) det and the numerator
+    with column idx replaced is num_W = L^(n(n-1)/2 - (n-1-idx) + n) num.
+    Hence
+
+        a_idx = num / det = (num_W / L^(idx+1)) / det_W,
+
+    and as scaling moves no lower bound, precision or exact zero, a_idx is
+    ``num * det.invert(order)`` in every coefficient and in its precision;
+    ``LaurentElement.divide`` computes it.  A single-monomial determinant
+    divides exactly, so companion systems round-trip with no precision loss.
     """
     components = vector.components if isinstance(vector, CyclicVector) else vector
     n = conn.rank
     if len(components) != n:
         raise DimensionMismatchError("cyclic vector length does not match rank")
-    images = _iterated_images(conn, components)
-    # columns D^{n-1} v, ..., D v, v and, as column n, the target D^n v
+    images = conn._images(components, n + 1)
+    # columns W_{n-1}, ..., W_1, W_0 and, as column n, the target W_n
     augmented = [[images[n - 1 - c][r] for c in range(n)] + [images[n][r]]
                  for r in range(n)]
     # numerator idx takes the target in place of column idx
@@ -338,8 +366,10 @@ def connection_to_oper(conn, vector, working_precision=None):
         raise NotCyclicError("certificate determinant vanishes; vector is not cyclic")
 
     order = working_precision if working_precision is not None else 4 * n + 8
-    inv = det.invert(order)
-    return Oper([numerator * inv for numerator in numerators])
+    return Oper(
+        numerator.scale(Fraction(1, conn.denominator ** (idx + 1))).divide(det, order)
+        for idx, numerator in enumerate(numerators)
+    )
 
 
 def newton_polygon_irregularity(chi):

@@ -11,11 +11,16 @@ stored part plus O(t^p).  Exact (untruncated) elements have
 
 The valuation of the exact zero element is the sentinel ``INFINITY``, which
 compares greater than every integer.
+
+Series division ``a.divide(d, order)`` is ``a * d.invert(order)`` computed
+by a fraction-free recurrence in ints, one Fraction per quotient
+coefficient; ``invert`` is the quotient of one by the element.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     PrecisionExhaustedError,
@@ -76,6 +81,11 @@ def _normal(table, precision):
         for k, c in table.items()
         if c and (precision is None or k < precision)
     }
+
+
+def _scaled(c, scale):
+    """The int c * scale, for an int or Fraction c whose denominator divides scale."""
+    return c.numerator * (scale // c.denominator)
 
 
 def _min_prec(p, q):
@@ -238,35 +248,75 @@ class LaurentElement:
     def invert(self, order):
         """A series b with self*b = 1 + O(t^order); b has valuation -v(self).
 
-        A single stored monomial inverts exactly.  Otherwise the result is
-        precision-tracked and truncated at the requested order: writing
-        self = t^v (c_0 + c_1 t + ...), its coefficients b_k (at t^(k-v))
-        follow from b_0 = 1/c_0 and b_k = -(1/c_0) sum_{j=1..k} c_j b_{k-j}.
+        A single exact monomial inverts exactly; otherwise b is truncated
+        (see ``divide``, of which this is ``one().divide(self, order)``).
         """
-        if self.is_zero():
+        return LaurentElement.one().divide(self, order)
+
+    def divide(self, divisor, order):
+        """The quotient ``self * divisor.invert(order)``, without the inverse.
+
+        Equal to that product in every coefficient and its precision, with
+        the same error when the inverse does not exist.  Write divisor =
+        t^v (c_0 + c_1 t + ...) and self = t^w (s_0 + s_1 t + ...), w the
+        lower bound of self.  Unless the divisor is a single exact monomial,
+        the inverse is truncated at t^(e-v), e = min(order, prec(divisor) -
+        v) (e <= 0 raises), and the product has precision w - v + e; a
+        truncated dividend lowers it to prec(self) - v.  Below it the
+        coefficient q_k of t^(w-v+k) needs only inverse terms of index
+        j <= k < e, so it is the true quotient: s_k = sum_{j<=k} c_j q_{k-j}.
+        With c and s scaled to ints by their common denominators D and S,
+        Q_k = c_0^(k+1) q_k S / D is an int,
+
+            Q_k = c_0^k s_k - sum_{j=1..k} c_j c_0^(j-1) Q_{k-j},
+
+        and q_k = Q_k D / (c_0^(k+1) S) is the one Fraction per coefficient.
+        """
+        if divisor.is_zero():
             raise ZeroDivisorError("cannot invert the zero series")
-        v = self.valuation()  # raises UndeterminedValuationError on O(t^p) zero
-        inverse = Fraction(1) / self._coeff[v]
-        if len(self._coeff) == 1 and self.precision is None:
-            return LaurentElement.monomial(-v, inverse)
-        effective = order
+        v = divisor.valuation()  # raises UndeterminedValuationError on O(t^p) zero
+        inverse_prec = None  # the precision of divisor.invert(order)
+        if len(divisor._coeff) > 1 or divisor.precision is not None:
+            effective = order
+            if divisor.precision is not None:
+                effective = min(effective, divisor.precision - v)
+            if effective <= 0:
+                message = f"cannot invert to order {order}"
+                if divisor.precision is not None:
+                    message += f" with input precision O(t^{divisor.precision})"
+                raise PrecisionExhaustedError(message)
+            inverse_prec = effective - v
+        if self.is_zero():
+            return LaurentElement.zero()
+        w = self._lower_bound()
+        prec = None if inverse_prec is None else w + inverse_prec
         if self.precision is not None:
-            effective = min(effective, self.precision - v)
-        if effective <= 0:
-            message = f"cannot invert to order {order}"
-            if self.precision is not None:
-                message += f" with input precision O(t^{self.precision})"
-            raise PrecisionExhaustedError(message)
-        tail = sorted((k - v, c) for k, c in self._coeff.items() if k != v)
-        b = [inverse]
-        for k in range(1, effective):
-            total = 0
+            prec = _min_prec(prec, self.precision - v)
+        if not self._coeff:
+            return self._adopt({}, prec)
+        count = max(self._coeff) - w + 1 if prec is None else prec - w + v
+        big_d = lcm(*(c.denominator for c in divisor._coeff.values()))
+        big_s = lcm(*(c.denominator for c in self._coeff.values()))
+        c0 = _scaled(divisor._coeff[v], big_d)
+        tail = sorted(
+            (k - v, _scaled(c, big_d) * c0 ** (k - v - 1))
+            for k, c in divisor._coeff.items() if k != v
+        )
+        dividend = {k - w: _scaled(c, big_s) for k, c in self._coeff.items()}
+        quotient = []
+        table = {}
+        power = 1  # c_0^k
+        for k in range(count):
+            total = power * dividend.get(k, 0)
             for j, c in tail:
                 if j > k:
                     break
-                total += c * b[k - j]
-            b.append(-total * inverse)
-        return self._adopt({k - v: c for k, c in enumerate(b)}, effective - v)
+                total -= c * quotient[k - j]
+            quotient.append(total)
+            power *= c0
+            if total:
+                table[w - v + k] = Fraction(total * big_d, power * big_s)
+        return self._adopt(table, prec)
 
     def truncate(self, precision):
         return self._adopt(self._coeff, _min_prec(self.precision, precision))

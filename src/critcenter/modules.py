@@ -223,9 +223,17 @@ class ModuleVector(LinComb):
 
     @classmethod
     def from_json(cls, data):
+        """Terms whose words are basis monomials: loop generators in
+        nondecreasing ``gen_sort_key`` order, as ``RootModule.act`` writes them."""
         terms = cls._json_terms(data, word_from_tokens)
-        if any(TAU in word for _c, word in terms):
-            raise ValidationError("module vector words hold loop generators only")
+        for _c, word in terms:
+            if TAU in word:
+                raise ValidationError("module vector words hold loop generators only")
+            keys = [gen_sort_key(g) for g in word]
+            if keys != sorted(keys):
+                raise ValidationError(
+                    f"module vector word {list(map(repr, word))} is not in PBW order"
+                )
         return cls((word, c) for c, word in terms)
 
 

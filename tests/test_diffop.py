@@ -1,5 +1,7 @@
 """Opers, connections, the Miura expansion, and the irregularity oracle."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -410,3 +412,93 @@ def test_oper_json_round_trip():
     assert Oper.from_json(chi.to_json()) == chi
     conn = oper_to_connection(chi)
     assert Connection.from_json(conn.to_json()).matrix == conn.matrix
+
+
+# -- integer images and recorded oper outputs ---------------------------------
+
+
+def _reference_apply(conn, vector):
+    """D(v) = v' + A v, each row summed left to right."""
+    out = []
+    for row, entry in zip(conn.matrix, vector):
+        total = entry.derivative()
+        for a, x in zip(row, vector):
+            total = total + a * x
+        out.append(total)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_scaled_images_are_exact_multiples(data):
+    # entries with distinct denominators (up to 5) and truncated entries
+    conn = Connection(data.draw(_square_matrices(_entries, 1, 4)))
+    n = conn.rank
+    vector = [data.draw(_entries) for _ in range(n)]
+    plain = [list(vector)]
+    for _ in range(n):
+        plain.append(conn.apply(plain[-1]))
+        assert [_exact(x) for x in plain[-1]] == [
+            _exact(x) for x in _reference_apply(conn, plain[-2])
+        ]
+    scale = conn.denominator
+    for k, image in enumerate(conn._images(vector, n + 1)):
+        assert [_exact(w) for w in image] == [_exact(x.scale(scale**k)) for x in plain[k]]
+    det = _cofactor_det([[plain[c][r] for c in range(n)] for r in range(n)])
+    assert _exact(certificate_determinant(conn, vector)) == _exact(det)
+
+
+def _generic_connection(seed, rank):
+    """A connection shaped like the benchmark's: every entry is
+    c_-2 t^-2 + c_-1 t^-1 + c_0 with nonzero c_k = num/den."""
+    rng = random.Random(f"oper-digest:{seed}:{rank}")
+
+    def entry():
+        return L({
+            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+            for e in (-2, -1, 0)
+        })
+
+    return Connection([[entry() for _ in range(rank)] for _ in range(rank)])
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+# SHA-256 of the cyclic vector's and the oper's JSON, recorded from the
+# Fraction implementation that preceded the integer images and division
+_OPER_DIGESTS = {
+    (4, 0): (
+        "28dc10b616ed87024fc20b97a127dd269b37fd2e568cb0d1f5f50d711e2c41f5",
+        "ad4dec7656b55872ba0fffaf8770e88e773769eecff816f8a6d9261e91723c10",
+    ),
+    (4, 1): (
+        "c87f5769f52ed63b174e909368445d4add07a9022ed4d9b3a7c0f570808dab72",
+        "5a43ea410e4e75b3460ea1722679b8d977ff32fd66ab3672257fb3d9a298bbbb",
+    ),
+    (5, 0): (
+        "df8cbd5f03c79e0b4477afb85e4d07cab6a405c7aa283e228ed8e40c31f50c08",
+        "98aa328aa761327dc4a55c2b9892ec572280681f785192b4ea983da4547d1216",
+    ),
+    (5, 1): (
+        "e38f722cd7ceb324086050f35c31ad41596190c1919f495d9b224666771d98f9",
+        "0c4e52fad30d5249e3535c6eba4caa9832172a17bb6b0013286640f535d92f56",
+    ),
+    (6, 0): (
+        "225334db248c8c86b6fc8a49f0ca5276cc65ab3640ed1c011772401c109c1e51",
+        "69cbe86a098010b2a88dd16048a7c230f7b586eb37b2aa6d38f727ca822ad1f3",
+    ),
+    (6, 1): (
+        "198b3311d1cdb53a5d31cd228cb731ff2e82442dab71d54b00ab09c2a02999c1",
+        "e23cba40c31957b6937719baba0e5070ed09bbc66fad6b1bbc9718f46083a46d",
+    ),
+}
+
+
+@pytest.mark.parametrize("rank, seed", sorted(_OPER_DIGESTS))
+def test_generic_opers_match_recorded_digests(rank, seed):
+    conn = _generic_connection(seed, rank)
+    found = cyclic_vector_search(conn)
+    chi = connection_to_oper(conn, found)
+    assert (_digest(found), _digest(chi)) == _OPER_DIGESTS[rank, seed]

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critcenter.errors import (
@@ -216,6 +216,29 @@ def test_invert_matches_geometric_series(a, order):
     assert _outcome(L.invert, a, order) == _outcome(_geometric_invert, a, order)
 
 
+nonzero_scalars = scalars.filter(bool)
+# truncated and exact elements, exact and O(t^p) zeros, exact monomials
+quotient_operands = st.one_of(
+    truncated_elements,
+    st.just(L.zero()),
+    st.builds(L.zero, st.integers(min_value=-4, max_value=8)),
+    st.builds(L.monomial, st.integers(min_value=-5, max_value=5), nonzero_scalars),
+)
+
+
+@settings(max_examples=400)
+@given(quotient_operands, quotient_operands, st.integers(min_value=-3, max_value=12))
+# an exact single-monomial divisor of valuation 2 under a truncated dividend:
+# the quotient's precision is 3 - 2, not 3
+@example(L({0: 1, 1: 2}, 3), L.monomial(2, 3), 5)
+def test_divide_matches_product_with_inverse(a, d, order):
+    # coefficients, precision and the error raised must all agree, with the
+    # inverse and with the independent geometric-series inverse
+    quotient = _outcome(L.divide, a, d, order)
+    assert quotient == _outcome(lambda: a * d.invert(order))
+    assert quotient == _outcome(lambda: a * _geometric_invert(d, order))
+
+
 @settings(max_examples=60)
 @given(elements, st.integers(min_value=1, max_value=6))
 def test_invert_two_sided(a, order):
@@ -255,6 +278,10 @@ def _results(a, b, k, order):
     yield L.from_json(a.to_json())
     try:
         yield a.invert(order)
+    except (ZeroDivisorError, UndeterminedValuationError, PrecisionExhaustedError):
+        pass
+    try:
+        yield a.divide(b, order)
     except (ZeroDivisorError, UndeterminedValuationError, PrecisionExhaustedError):
         pass
 

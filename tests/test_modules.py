@@ -992,3 +992,14 @@ def test_module_vector_json_round_trip(terms):
 def test_module_vector_json_rejects_tau():
     with pytest.raises(ValidationError):
         ModuleVector.from_json([{"coeff": "1", "word": ["tau", "e[1,1;0]"]}])
+
+
+def test_module_vector_json_rejects_words_out_of_pbw_order():
+    # e[1,1;0]*e[2,1;0]*v0 is the basis monomial; the reversed word is not one
+    with pytest.raises(ValidationError):
+        ModuleVector.from_json([{"coeff": "1", "word": ["e[2,1;0]", "e[1,1;0]"]}])
+    ordered = ModuleVector.from_json([{"coeff": "1", "word": ["e[1,1;0]", "e[2,1;0]"]}])
+    module = RootModule(root_fn_km0(2, 1))
+    acted = module.act(Gen(2, 1, 0), ModuleVector.from_json(
+        [{"coeff": "1", "word": ["e[1,1;0]"]}]))
+    assert acted == ordered + ModuleVector.from_json([{"coeff": "1", "word": ["e[2,1;0]"]}])
