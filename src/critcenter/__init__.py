@@ -7,9 +7,8 @@ the oper / Miura / irregularity calculus on the differential-equation side.
 All arithmetic is exact over the rationals.
 """
 
-from .laurent import INFINITY, LaurentElement, Scalar
+from .laurent import INFINITY, LaurentElement
 from .algebra import (
-    CENTRAL,
     TAU,
     AffineAlgebra,
     BilinearForm,
@@ -21,9 +20,7 @@ from .algebra import (
 from .pbw import CommPoly, NCPoly, hc_project, nc_normal_form, symbol
 from .sugawara import (
     SSFamily,
-    cartan_evaluate,
     cdet,
-    central_character,
     check_row_property,
     ss_vectors,
 )
@@ -49,7 +46,6 @@ from .modules import (
     root_fn_moy_prasad,
     ss_operator_act,
     state_is_central,
-    vacuum_module,
     vanishing_report,
 )
 
@@ -58,8 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "INFINITY",
     "LaurentElement",
-    "Scalar",
-    "CENTRAL",
     "TAU",
     "AffineAlgebra",
     "BilinearForm",
@@ -73,9 +67,7 @@ __all__ = [
     "nc_normal_form",
     "symbol",
     "SSFamily",
-    "cartan_evaluate",
     "cdet",
-    "central_character",
     "check_row_property",
     "ss_vectors",
     "Connection",
@@ -97,6 +89,5 @@ __all__ = [
     "root_fn_moy_prasad",
     "ss_operator_act",
     "state_is_central",
-    "vacuum_module",
     "vanishing_report",
 ]

@@ -47,15 +47,7 @@ class _Tau:
         return "tau"
 
 
-class _Central:
-    """The central element; it acts as 1 on every module considered here."""
-
-    def __repr__(self):
-        return "one"
-
-
 TAU = _Tau()
-CENTRAL = _Central()
 
 _GEN_RE = re.compile(r"^e\[(-?\d+),(-?\d+);(-?\d+)\]$")
 
@@ -146,11 +138,9 @@ def bracket(a, b, form):
 
 
 def tau_bracket(x):
-    """[tau, e_ij[r]] = -r e_ij[r-1]; [tau, one] = 0."""
-    if x is CENTRAL:
-        return []
+    """[tau, e_ij[r]] = -r e_ij[r-1]."""
     if not isinstance(x, Gen):
-        raise ValidationError("tau_bracket expects a loop generator or the central element")
+        raise ValidationError("tau_bracket expects a loop generator")
     if x.u == 0:
         return []
     return [(x.shifted(-1), -x.u)]

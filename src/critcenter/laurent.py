@@ -32,8 +32,6 @@ from .errors import (
 )
 from .lincomb import canonical, scalar_from_str, scalar_to_str, signed_sum
 
-Scalar = Fraction
-
 
 def int_from_json(value, what):
     """A JSON integer; floats, strings and booleans raise ValidationError."""

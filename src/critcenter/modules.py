@@ -93,9 +93,11 @@ class RootFunction:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 try:
-                    v = int(values[(i, j)])
+                    v = values[(i, j)]
                 except KeyError as exc:
                     raise ValidationError(f"missing depth at {(i, j)}") from exc
+                if type(v) is not int:
+                    raise ValidationError(f"depth r{(i, j)} must be an integer, got {v!r}")
                 self._values[(i, j)] = v
         self.kind = kind
         self.params = dict(params or {})
@@ -117,7 +119,10 @@ class RootFunction:
                         )
 
     def __call__(self, i, j):
-        return self._values[(i, j)]
+        try:
+            return self._values[(i, j)]
+        except KeyError:
+            raise ValidationError(f"index {(i, j)} outside 1..{self.n}") from None
 
     def __eq__(self, other):
         if not isinstance(other, RootFunction):
@@ -191,12 +196,6 @@ def root_fn_moy_prasad(n, x, r):
             else:
                 values[(i, j)] = 1 - math.ceil(x[i - 1] - x[j - 1] - r)
     return RootFunction(n, values, "moy-prasad", {"x": tuple(x), "r": r})
-
-
-def _vacuum_root_fn(n):
-    # Internal: r = 0 everywhere realizes the vacuum module gl_n[[t]].v_0 = 0.
-    values = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1)}
-    return RootFunction(n, values, "vacuum", {}, _allow_zero_diagonal=True)
 
 
 class ModuleVector(LinComb):
@@ -355,13 +354,6 @@ class RootModule:
             vec = self.act(g, vec)
         return vec
 
-    def act_poly(self, poly, vec):
-        """Apply a tau-free NC polynomial (PBW-ordered words act as written)."""
-        table = {}
-        for word, c in poly.words().items():
-            _accumulate(table, self.act_word(word, vec)._terms, c)
-        return ModuleVector._adopt(table)
-
     # -- certified annihilation bounds --------------------------------------
 
     def _depth(self, word):
@@ -436,10 +428,6 @@ class RootModule:
         if not words:
             return 0
         return max(self.word_annihilation_bound(w, vec) for w in words)
-
-    def generator_annihilation_degree(self, g, vec):
-        """Certified J with e_ij[u] vec = 0 for all u >= J."""
-        return self.rf(g.i, g.j) + self.creation_shift(vec) + self._lemma_slack
 
     # -- Fourier action ------------------------------------------------------
 
@@ -552,20 +540,21 @@ class RootModule:
     def _moves(self, head, vec, mono):
         """The annihilation side of head's field on vec, as (p, c_p, mode, mode.vec).
 
-        These are the modes x[p - m] for m <= p < m + J, with J from
-        ``generator_annihilation_degree`` (the binomial vanishes below m),
-        that do not kill vec.  Under the degree cut, x[p - m] kills vec once
-        p - m > -d, so J drops to 1 - d where that is smaller.  The moves
-        depend on neither s nor the rest of the state, so when vec is the
-        unit monomial ``mono`` they are cached under ``(head, mono)``;
-        ``mono`` is None for a traced call.
+        These are the modes x[p - m] for m <= p < m + J (the binomial
+        vanishes below m) that do not kill vec, where J is the certified
+        bound r(head) + shift(vec) + slack: x[u] vec = 0 for all u >= J,
+        with shift(vec) from ``creation_shift`` and slack ``_lemma_slack``.
+        Under the degree cut, x[p - m] kills vec once p - m > -d, so J drops
+        to 1 - d where that is smaller.  The moves depend on neither s nor
+        the rest of the state, so when vec is the unit monomial ``mono`` they
+        are cached under ``(head, mono)``; ``mono`` is None for a traced call.
         """
         if mono is not None:
             hit = self._move_cache.get((head, mono))
             if hit is not None:
                 return hit
         m = -head.u - 1
-        top = self.generator_annihilation_degree(head, vec)
+        top = self.rf(head.i, head.j) + self.creation_shift(vec) + self._lemma_slack
         if self._degree_cut:
             top = min(top, 1 - self._min_degree(vec))
         moves = []
@@ -592,15 +581,6 @@ def lemma_relations_bound(word, rf):
         degrees += g.u
         depths += rf(g.i, g.j)
     return degrees >= depths
-
-
-def vacuum_module(n):
-    """The vacuum module gl_n[[t]].v_0 = 0 at critical level.
-
-    States are its vectors; acting with Fourier coefficients here realizes
-    products inside the vertex algebra itself.
-    """
-    return RootModule(_vacuum_root_fn(n))
 
 
 def state_is_central(state, n):
@@ -726,6 +706,8 @@ def _derive(algebra, g, word, c, left, raw):
 
 def ss_operator_act(n, ell, N, rf):
     """Apply the N-th Fourier coefficient of S_l, from its node, to v_0."""
+    if rf.n != n:
+        raise ValidationError("root function rank does not match n")
     if not 1 <= ell <= n:
         raise ValidationError(f"component index {ell} out of range 1..{n}")
     mod = RootModule(rf)

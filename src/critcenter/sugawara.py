@@ -44,7 +44,6 @@ ordered product of its factors' fields; ``ss_vectors`` multiplies it out.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -216,39 +215,6 @@ def check_row_property(S, n):
         if bottom > 1:
             return False, word
     return True, None
-
-
-def central_character(chi, ell, N):
-    """The coefficient a_{l,N} of the oper, i.e. the t^{-N-1} coefficient of a_l.
-
-    This is the value at chi of the central generator indexed by (l, N); the
-    undetermined scalar relating the two normalizations is fixed to 1.
-    """
-    if not (1 <= ell <= chi.rank):
-        raise ValidationError(f"component index {ell} out of range 1..{chi.rank}")
-    return chi.a[ell - 1].coefficient(-N - 1)
-
-
-def cartan_evaluate(p, h):
-    """Evaluate a polynomial in the e_ii[u] (u < 0) on a Cartan-valued series.
-
-    The generator e_ii[-k-1] pairs with the t^k coefficient of the i-th
-    component of h.  This realizes elements of the commutative Cartan algebra
-    as polynomial functions of holomorphic Cartan elements.
-    """
-    total = Fraction(0)
-    for (k, word), c in p._terms.items():
-        if k:
-            raise ValidationError("cannot evaluate a tau-dependent element")
-        value = c
-        for g in word:
-            if not g.is_diagonal or g.u >= 0:
-                raise ValidationError(
-                    "evaluation needs diagonal negative-degree factors only"
-                )
-            value *= h[g.i - 1].coefficient(-g.u - 1)
-        total += value
-    return total
 
 
 def commutative_char_poly_coefficients(n):

@@ -5,7 +5,6 @@ from fractions import Fraction
 from itertools import product
 
 from critcenter.algebra import (
-    CENTRAL,
     AffineAlgebra,
     BilinearForm,
     Gen,
@@ -56,7 +55,6 @@ def test_tau_bracket():
     assert tau_bracket(Gen(1, 1, -1)) == [(Gen(1, 1, -2), 1)]
     assert tau_bracket(Gen(1, 2, 0)) == []
     assert tau_bracket(Gen(2, 1, 2)) == [(Gen(2, 1, 1), -2)]
-    assert tau_bracket(CENTRAL) == []
 
 
 def test_generator_token_round_trip():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from critcenter.algebra import AffineAlgebra, BilinearForm, Gen, gen_sort_key
 from critcenter.errors import DomainError, ValidationError
+from critcenter.lincomb import _accumulate
 from critcenter.modules import (
     ModuleVector,
     RootFunction,
@@ -23,13 +24,21 @@ from critcenter.modules import (
     root_fn_moy_prasad,
     ss_operator_act,
     state_is_central,
-    vacuum_module,
     vanishing_report,
 )
 from critcenter.pbw import NCPoly
 from critcenter.sugawara import ss_nodes, ss_vectors
+from oracles import vacuum_module
 
 V0 = ModuleVector.vacuum()
+
+
+def act_poly(mod, poly, vec):
+    """Apply a tau-free NC polynomial (PBW-ordered words act as written)."""
+    table = {}
+    for word, c in poly.words().items():
+        _accumulate(table, mod.act_word(word, vec)._terms, c)
+    return ModuleVector._adopt(table)
 
 
 # -- root functions ----------------------------------------------------------
@@ -66,6 +75,47 @@ def test_moy_prasad_root_function():
 def test_moy_prasad_thresholds():
     rf = root_fn_moy_prasad(2, [0, 0], Fraction(1, 2))
     assert [rf.threshold(ell) for ell in (1, 2)] == [2, 3]
+
+
+def _depths(corner):
+    return {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): corner}
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (RootFunction, (2, _depths(Fraction(3, 2)))),
+        (RootFunction, (2, _depths(1.9))),
+        (RootFunction, (2, _depths("2"))),
+        (RootFunction, (2, _depths(True))),
+        (root_fn_constant, (2, 1.5)),
+        (root_fn_km0, (2, 1.5)),
+    ],
+    ids=["fraction", "float", "string", "bool", "constant-1.5", "km0-1.5"],
+)
+def test_root_function_depths_must_be_ints(build, args):
+    # A depth is never truncated: 3/2 and 1.9 are not depth 1, "2" not 2.
+    with pytest.raises(ValidationError):
+        build(*args)
+
+
+def test_root_function_rejects_a_zero_diagonal():
+    values = {(i, j): 0 for i in (1, 2) for j in (1, 2)}
+    with pytest.raises(ValidationError):
+        RootFunction(2, values)
+    assert RootFunction(2, values, _allow_zero_diagonal=True)(1, 1) == 0
+
+
+def test_indices_outside_the_rank_are_validation_errors():
+    rf = root_fn_km0(2, 1)
+    mod = RootModule(rf)
+    for i, j in [(3, 1), (1, 0), (0, 0)]:
+        with pytest.raises(ValidationError):
+            rf(i, j)
+    with pytest.raises(ValidationError):
+        mod.act(Gen(3, 1, 0), V0)
+    with pytest.raises(ValidationError):
+        mod.fourier_act({(Gen(3, 1, -1),): 1}, 0, V0)
 
 
 # -- generator action --------------------------------------------------------
@@ -371,7 +421,7 @@ def test_reordered_quadratic_vector_is_not_central():
 def _central_by_full_sweep(state, n):
     """Reference test: every e_ij[u] below the certified mode bound kills the state."""
     mod = vacuum_module(n)
-    vec = mod.act_poly(state, V0)
+    vec = act_poly(mod, state, V0)
     limit = mod.creation_shift(vec) + mod._lemma_slack
     return all(
         mod.act(Gen(i, j, u), vec).is_zero()
@@ -414,7 +464,7 @@ def test_generator_centrality_matches_full_sweep():
 def _central_in_vacuum_module(state, n):
     """Reference test: weight 0, then the n generators act on the vector S v_0."""
     mod = vacuum_module(n)
-    vec = mod.act_poly(state, V0)
+    vec = act_poly(mod, state, V0)
     for word in vec._terms:
         weight = [0] * (n + 1)
         for g in word:
@@ -438,7 +488,7 @@ def test_trace_pairing_is_killed_by_e12_but_not_e21_1():
     terms, _n = TRACE_PAIRING
     state = NCPoly(AffineAlgebra.critical(2), {(0, w): c for w, c in terms.items()})
     mod = vacuum_module(2)
-    vec = mod.act_poly(state, V0)
+    vec = act_poly(mod, state, V0)
     assert mod.act(Gen(1, 2, 0), vec).is_zero()
     assert not mod.act(Gen(2, 1, 1), vec).is_zero()
     assert not state_is_central(state, 2)
@@ -613,6 +663,14 @@ def test_conductor_profile_thresholds():
         assert all(report["verified"])
         # threshold attained at ell = 1
         assert not ss_operator_act(n, 1, m - 1, rf).is_zero()
+
+
+def test_rank_mismatch_is_a_validation_error():
+    for call in (ss_operator_act, lambda n, ell, N, rf: vanishing_report(n, rf)):
+        with pytest.raises(ValidationError):
+            call(3, 1, 0, root_fn_km0(2, 1))
+        with pytest.raises(ValidationError):
+            call(2, 1, 0, root_fn_km0(3, 1))
 
 
 def test_conductor_thresholds_beyond_required_grid():

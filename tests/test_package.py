@@ -1,0 +1,15 @@
+"""The public surface of the package."""
+
+import critcenter
+from critcenter.modules import RootModule
+
+
+def test_public_surface_resolves_and_holds_no_test_oracles():
+    # A stale __all__ entry makes the star import raise.
+    namespace = {}
+    exec("from critcenter import *", namespace)
+    assert set(critcenter.__all__) <= set(namespace)
+    # Test-only oracles live under tests/, and the dead names are gone.
+    for name in ("vacuum_module", "cartan_evaluate", "central_character", "Scalar", "CENTRAL"):
+        assert not hasattr(critcenter, name), name
+    assert not hasattr(RootModule, "act_poly")

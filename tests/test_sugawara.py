@@ -7,21 +7,18 @@ import pytest
 
 from critcenter.algebra import AffineAlgebra, Gen
 from critcenter.diffop import miura
-from critcenter.errors import UndeterminedCoefficientError, ValidationError
+from critcenter.errors import ValidationError
 from critcenter.laurent import LaurentElement as L
 from critcenter.modules import state_is_central
 from critcenter.pbw import NCPoly, hc_project
 from critcenter.sugawara import (
     MinorNode,
-    cartan_evaluate,
     cdet,
-    central_character,
     check_row_property,
     commutative_char_poly_coefficients,
     ss_nodes,
     ss_vectors,
 )
-from critcenter.diffop import Oper
 
 
 def _scalar_matrix(alg, rows):
@@ -168,20 +165,26 @@ def test_vacuum_centrality_up_to_rank_three():
             assert state_is_central(s, n)
 
 
-def test_central_character_read_off():
-    chi = Oper([L.monomial(-1)])
-    assert central_character(chi, 1, 0) == 1
-    chi2 = Oper([L.zero(), L.monomial(-3, 5)])
-    assert central_character(chi2, 2, 2) == 5
-    holo = Oper([L.one(), L.monomial(2)])
-    for ell in (1, 2):
-        for N in range(0, 4):
-            assert central_character(holo, ell, N) == 0
-    with pytest.raises(ValidationError):
-        central_character(chi, 2, 0)
-    truncated = Oper([L({}, precision=-4)])
-    with pytest.raises(UndeterminedCoefficientError):
-        central_character(truncated, 1, 2)
+def cartan_evaluate(p, h):
+    """Evaluate a polynomial in the e_ii[u] (u < 0) on a Cartan-valued series.
+
+    The generator e_ii[-k-1] pairs with the t^k coefficient of the i-th
+    component of h.  This realizes elements of the commutative Cartan algebra
+    as polynomial functions of holomorphic Cartan elements.
+    """
+    total = Fraction(0)
+    for (k, word), c in p._terms.items():
+        if k:
+            raise ValidationError("cannot evaluate a tau-dependent element")
+        value = c
+        for g in word:
+            if not g.is_diagonal or g.u >= 0:
+                raise ValidationError(
+                    "evaluation needs diagonal negative-degree factors only"
+                )
+            value *= h[g.i - 1].coefficient(-g.u - 1)
+        total += value
+    return total
 
 
 def test_omega_functional_matches_miura_constant_term():

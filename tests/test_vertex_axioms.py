@@ -17,9 +17,9 @@ from critcenter.modules import (
     ModuleVector,
     RootModule,
     root_fn_km0,
-    vacuum_module,
 )
 from critcenter.sugawara import ss_vectors
+from oracles import vacuum_module
 
 V0 = ModuleVector.vacuum()
 
