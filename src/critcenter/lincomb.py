@@ -179,6 +179,16 @@ class LinComb:
         ]
 
     @staticmethod
-    def _json_terms(data, read_word):
-        """(coeff, read_word(word)) per JSON term."""
-        return [(scalar_from_str(t["coeff"]), read_word(t["word"])) for t in data]
+    def _terms_from_json(data, read_word):
+        """(coeff, read_word(word)) per JSON term; a word is a list of token strings."""
+        if not isinstance(data, list):
+            raise ValidationError(f"not a list of terms: {data!r}")
+        terms = []
+        for term in data:
+            if not isinstance(term, dict) or not {"coeff", "word"} <= term.keys():
+                raise ValidationError(f"not a {{coeff, word}} term: {term!r}")
+            word = term["word"]
+            if not isinstance(word, list) or not all(isinstance(t, str) for t in word):
+                raise ValidationError(f"a word is a list of token strings, not {word!r}")
+            terms.append((scalar_from_str(term["coeff"]), read_word(word)))
+        return terms

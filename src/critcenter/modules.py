@@ -156,18 +156,24 @@ class RootFunction:
         return None
 
 
+def _check_depth(m, name):
+    """A depth parameter is a positive int; like RootFunction, never truncate it."""
+    if type(m) is not int:
+        raise ValidationError(f"{name} m must be an integer, got {m!r}")
+    if m <= 0:
+        raise DomainError(f"{name} m must be positive")
+
+
 def root_fn_constant(n, m):
     """r(i, j) = m everywhere: the congruence subalgebra t^m gl_n[[t]]."""
-    if m <= 0:
-        raise DomainError("congruence depth m must be positive")
+    _check_depth(m, "congruence depth")
     values = {(i, j): m for i in range(1, n + 1) for j in range(1, n + 1)}
     return RootFunction(n, values, "constant", {"m": m})
 
 
 def root_fn_km0(n, m):
     """Depth m on the whole bottom row, 0 on the last column above it, 1 elsewhere."""
-    if m <= 0:
-        raise DomainError("conductor depth m must be positive")
+    _check_depth(m, "conductor depth")
     values = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -224,7 +230,7 @@ class ModuleVector(LinComb):
     def from_json(cls, data):
         """Terms whose words are basis monomials: loop generators in
         nondecreasing ``gen_sort_key`` order, as ``RootModule.act`` writes them."""
-        terms = cls._json_terms(data, word_from_tokens)
+        terms = cls._terms_from_json(data, word_from_tokens)
         for _c, word in terms:
             if TAU in word:
                 raise ValidationError("module vector words hold loop generators only")
@@ -389,10 +395,6 @@ class RootModule:
             self._degrees[word] = degree
         return degree
 
-    def _min_degree(self, vec):
-        """The lowest degree d of vec's monomials, so the degree cut holds for vec."""
-        return min(map(self._degree, vec._terms), default=0)
-
     def word_annihilation_bound(self, word, vec):
         """Certified N with word_(s) vec = 0 for all s >= N.
 
@@ -431,58 +433,32 @@ class RootModule:
 
     # -- Fourier action ------------------------------------------------------
 
-    def fourier_act(self, state, s, vec, on_term=None):
+    def fourier_act(self, state, s, vec):
         """The s-th Fourier coefficient of the field of a state, applied to vec.
 
         ``state`` is a state as ``_state_words`` reads it, or a MinorNode of
-        ``sugawara.ss_nodes``.  ``on_term`` (optional) receives, for every
-        surviving expansion path, the operator word as a tuple of (generator
-        index pair, mode) entries in left-to-right operator order, together
-        with its coefficient.
+        ``sugawara.ss_nodes``.
         """
         table = {}
         for word, c in _field_states(state).items():
-            trace = None if on_term is None else (on_term, c, (), ())
-            _accumulate(table, self._fourier_word(word, s, vec, trace)._terms, c)
+            _accumulate(table, self._fourier_word(word, s, vec)._terms, c)
         return ModuleVector._adopt(table)
 
-    def _fourier_word(self, word, s, vec, trace=None):
+    def _fourier_word(self, word, s, vec):
         """word_(s) vec by the field recursion in the module docstring.
 
-        ``word`` is a word or a MinorNode.  word_(s) is linear in vec, so an
-        untraced call expands it once per unit monomial of ``vec`` (cached
-        under ``(word, s, monomial)``) and sums those tables with vec's
+        ``word`` is a word or a MinorNode.  word_(s) is linear in vec, so it
+        is expanded once per unit monomial of ``vec`` (cached under
+        ``(word, s, monomial)``) and those tables are summed with vec's
         coefficients: exact by linearity, and each expansion is truncated by
         its own monomial's certified bounds.
 
-        ``trace`` is ``(on_term, coeff, left, right)``: the coefficient of the
-        path so far and the modes already placed left and right of this
-        word's field.  A traced call reports to ``on_term`` every path that
-        ends on the vacuum field at index -1, so it must visit each path: it
-        expands ``vec`` whole and neither reads nor fills the cache.
-
         Under the degree cut (module docstring) a monomial of degree
-        d >= -D - s gives 0; it is skipped, neither expanded nor cached.  A
-        traced call is skipped when every monomial of ``vec`` is, and it
-        loses no path: the modes of each path of word_(s) have degrees summing
-        to s + 1 + D, and those placed left (p <= -1) have negative degree, so
-        the path ends on a vector whose monomials have degree at least
-        d + s + 1 + D >= 1.  That vector is 0, and the path is not reported.
+        d >= -D - s gives 0; it is skipped, neither expanded nor cached.
         """
-        if vec.is_zero():
-            return ModuleVector.zero()
         if not word:
-            if s != -1:
-                return ModuleVector.zero()
-            if trace:
-                on_term, coeff, left, right = trace
-                on_term(left + right, coeff)
-            return vec
+            return vec if s == -1 else ModuleVector.zero()
         top = -self._degree(word) - s if self._degree_cut else None
-        if trace:
-            if top is not None and self._min_degree(vec) >= top:
-                return ModuleVector.zero()
-            return ModuleVector._adopt(self._fourier_expand(word, s, vec, trace))
         cache = self._fourier_cache
         total = {}
         for mono, c in vec._terms.items():
@@ -491,29 +467,24 @@ class RootModule:
             key = (word, s, mono)
             table = cache.get(key)
             if table is None:
-                unit = ModuleVector._adopt({mono: 1})
-                table = cache[key] = self._fourier_expand(word, s, unit)
+                table = cache[key] = self._fourier_expand(word, s, mono)
             _accumulate(total, table, c)
         return ModuleVector._adopt(total)
 
-    def _fourier_expand(self, word, s, vec, trace=None):
-        """The table of word_(s) vec for a nonempty word or a node, and nonzero vec.
+    def _fourier_expand(self, word, s, mono):
+        """The table of word_(s) mono for a nonempty word or a node and a unit monomial.
 
         A node is the sum of its terms (coef, head, child): the product state
         coef * head * child, or coef * child for a tau term (head None).  A
-        word is the one-term state (1, word[0], word[1:]).  An untraced call
-        gets a unit ``vec``.
+        word is the one-term state (1, word[0], word[1:]).
         """
-        if trace:
-            on_term, coeff, left, right = trace
-        mono = None if trace else next(iter(vec._terms))
-        d = self._min_degree(vec) if self._degree_cut else None
+        vec = ModuleVector._adopt({mono: 1})
+        d = self._degree(mono) if self._degree_cut else None
         terms = word.terms if type(word) is MinorNode else ((1, word[0], word[1:]),)
         total = {}
         for coef, head, tail in terms:
             if head is None:
-                sub = trace and (on_term, coeff * coef, left, right)
-                _accumulate(total, self._fourier_word(tail, s, vec, sub)._terms, coef)
+                _accumulate(total, self._fourier_word(tail, s, vec)._terms, coef)
                 continue
             m = -head.u - 1
             # creation side: p <= -1, head mode p - m applied after the tail field
@@ -521,51 +492,44 @@ class RootModule:
             if d is not None:
                 bound = min(bound, -self._degree(tail) - d)
             for p in range(s - bound, 0):
-                sub = None
-                if trace:
-                    mode, c = _field_mode(head, m, p)
-                    sub = (on_term, coeff * coef * c, left + (mode,), right)
-                inner = self._fourier_word(tail, s - p - 1, vec, sub)
+                inner = self._fourier_word(tail, s - p - 1, vec)
                 if inner.is_zero():
                     continue
                 mode, c = _field_mode(head, m, p)
                 _accumulate(total, self.act(mode, inner)._terms, coef * c)
             # annihilation side: p >= m, head acts first
-            for p, c, mode, moved in self._moves(head, vec, mono):
-                sub = trace and (on_term, coeff * coef * c, left, (mode,) + right)
-                inner = self._fourier_word(tail, s - p - 1, moved, sub)
+            for p, c, moved in self._moves(head, mono):
+                inner = self._fourier_word(tail, s - p - 1, moved)
                 _accumulate(total, inner._terms, coef * c)
         return total
 
-    def _moves(self, head, vec, mono):
-        """The annihilation side of head's field on vec, as (p, c_p, mode, mode.vec).
+    def _moves(self, head, mono):
+        """The annihilation side of head's field on mono, as (p, c_p, x[p - m].mono).
 
         These are the modes x[p - m] for m <= p < m + J (the binomial
-        vanishes below m) that do not kill vec, where J is the certified
-        bound r(head) + shift(vec) + slack: x[u] vec = 0 for all u >= J,
-        with shift(vec) from ``creation_shift`` and slack ``_lemma_slack``.
-        Under the degree cut, x[p - m] kills vec once p - m > -d, so J drops
-        to 1 - d where that is smaller.  The moves depend on neither s nor
-        the rest of the state, so when vec is the unit monomial ``mono`` they
-        are cached under ``(head, mono)``; ``mono`` is None for a traced call.
+        vanishes below m) that do not kill the unit monomial ``mono``, where
+        J is the certified bound r(head) + shift(mono) + slack: x[u] mono = 0
+        for all u >= J, with shift from ``creation_shift`` and slack
+        ``_lemma_slack``.  Under the degree cut, x[p - m] kills mono once
+        p - m > -d, so J drops to 1 - d where that is smaller.  The moves
+        depend on neither s nor the rest of the state, so they are cached
+        under ``(head, mono)``.
         """
-        if mono is not None:
-            hit = self._move_cache.get((head, mono))
-            if hit is not None:
-                return hit
+        hit = self._move_cache.get((head, mono))
+        if hit is not None:
+            return hit
+        vec = ModuleVector._adopt({mono: 1})
         m = -head.u - 1
         top = self.rf(head.i, head.j) + self.creation_shift(vec) + self._lemma_slack
         if self._degree_cut:
-            top = min(top, 1 - self._min_degree(vec))
+            top = min(top, 1 - self._degree(mono))
         moves = []
         for p in range(m, m + top):
             mode, c = _field_mode(head, m, p)
             moved = self.act(mode, vec)
             if not moved.is_zero():
-                moves.append((p, c, mode, moved))
-        moves = tuple(moves)
-        if mono is not None:
-            self._move_cache[head, mono] = moves
+                moves.append((p, c, moved))
+        moves = self._move_cache[head, mono] = tuple(moves)
         return moves
 
 

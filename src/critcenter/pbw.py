@@ -183,7 +183,7 @@ class NCPoly(LinComb):
 
     @classmethod
     def from_json(cls, algebra, data):
-        return nc_normal_form(algebra, cls._json_terms(data, word_from_tokens))
+        return nc_normal_form(algebra, cls._terms_from_json(data, word_from_tokens))
 
 
 def nc_normal_form(algebra, raw):

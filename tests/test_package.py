@@ -1,5 +1,7 @@
 """The public surface of the package."""
 
+import inspect
+
 import critcenter
 from critcenter.modules import RootModule
 
@@ -13,3 +15,8 @@ def test_public_surface_resolves_and_holds_no_test_oracles():
     for name in ("vacuum_module", "cartan_evaluate", "central_character", "Scalar", "CENTRAL"):
         assert not hasattr(critcenter, name), name
     assert not hasattr(RootModule, "act_poly")
+    # The Fourier recursion has one mode: no trace keyword, no whole-vector path.
+    assert list(inspect.signature(RootModule.fourier_act).parameters) == [
+        "self", "state", "s", "vec",
+    ]
+    assert not hasattr(RootModule, "_min_degree")
