@@ -65,6 +65,8 @@ def _emit(args, data, pretty):
 
 
 def _root_function(case, n, m, x=None, r=None):
+    if case != "moyprasad" and (x is not None or r is not None):
+        raise ValidationError(f"--x and --r apply to --case moyprasad only, not {case!r}")
     if case == "congruence":
         return root_fn_constant(n, m)
     if case == "km0":

@@ -642,9 +642,10 @@ def _critical_words(state, n):
 
 def _kills_state(algebra, g, words):
     """Whether g kills sum c_w w v_0, expanded as in ``state_is_central``."""
+    tables = {}
     raw = {}
     for word, c in words.items():
-        _derive(algebra, g, word, c, (), raw)
+        _derive(algebra, tables, g, word, c, (), raw)
     out = {}
     for word, c in raw.items():
         if c:
@@ -652,14 +653,28 @@ def _kills_state(algebra, g, words):
     return not out
 
 
-def _derive(algebra, g, word, c, left, raw):
-    """Add c * left * [g, word] v_0 to raw as words of negative-degree factors."""
+def _derive(algebra, tables, g, word, c, left, raw):
+    """Add c * left * [g, word] v_0 to raw as words of negative-degree factors.
+
+    ``tables`` maps each derivation generator to its brackets, keyed by the
+    factor: ``algebra.bracket(g, x)``, or () when that bracket is zero, so
+    a zero bracket is skipped before the word is sliced.
+    """
+    table = tables.get(g)
+    if table is None:
+        table = tables[g] = {}
     for i, x in enumerate(word):
-        lie, central = algebra.bracket(g, x)
+        pair = table.get(x)
+        if pair is None:
+            lie, central = algebra.bracket(g, x)
+            pair = table[x] = (lie, central) if lie or central else ()
+        if not pair:
+            continue
+        lie, central = pair
         pre, post = left + word[:i], word[i + 1 :]
         for h, c2 in lie:
             if h.u >= 0:
-                _derive(algebra, h, post, c * c2, pre, raw)
+                _derive(algebra, tables, h, post, c * c2, pre, raw)
             else:
                 key = pre + (h,) + post
                 raw[key] = raw.get(key, 0) + c * c2
@@ -679,6 +694,11 @@ def ss_operator_act(n, ell, N, rf):
 
 
 def _workers_from_env(cells):
+    """Scan threads for ``cells`` per-l scans: 1 unless CRITCENTER_WORKERS asks for more.
+
+    Under the GIL a pool only makes the pure-Python scan take turns, so the
+    default scans in-line; ``cells`` is kept for callers that wrap this.
+    """
     raw = os.environ.get("CRITCENTER_WORKERS", "").strip()
     if raw:
         try:
@@ -686,7 +706,7 @@ def _workers_from_env(cells):
         except ValueError as exc:
             raise ValidationError(f"CRITCENTER_WORKERS must be an integer: {raw!r}") from exc
         return max(1, requested)
-    return max(1, min(4, cells))
+    return 1
 
 
 def vanishing_report(n, rf, scan_window=3):
@@ -749,7 +769,9 @@ def vanishing_report(n, rf, scan_window=3):
 
     workers = _workers_from_env(len(rows))
     if workers > 1 and len(rows) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # pulls in logging
+        # Opt-in only (CRITCENTER_WORKERS=k>1): the import pulls in logging,
+        # and the default in-line scan never pays for it.
+        from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             found = list(pool.map(scan, rows))

@@ -133,6 +133,10 @@ def test_bad_window_and_rationals_exit_2(capsys):
         ["report", "--n", "2", "--m", "1", "--window", "-1", "--json"],
         ["verify", "--case", "moyprasad", "--n", "2", "--x", "a,b", "--json"],
         ["verify", "--case", "moyprasad", "--n", "2", "--r", "1/0", "--json"],
+        # --x and --r set a Moy-Prasad point; no other case may drop them
+        ["verify", "--case", "km0", "--n", "2", "--x", "1/2,0", "--json"],
+        ["verify", "--case", "congruence", "--n", "2", "--r", "0", "--json"],
+        ["act", "--case", "km0", "--n", "2", "--ell", "1", "--N", "0", "--r", "0", "--json"],
         ["irr", "--data", json.dumps(bad_coefficient), "--json"],
     ):
         code, out, err = _run(capsys, *argv)

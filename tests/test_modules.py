@@ -15,7 +15,10 @@ from critcenter.modules import (
     ModuleVector,
     RootFunction,
     RootModule,
+    _critical_words,
     _gbinom,
+    _kills_state,
+    _workers_from_env,
     conductor_irregularity_report,
     lemma_relations_bound,
     root_fn_constant,
@@ -520,6 +523,13 @@ def test_centrality_matches_vacuum_module_oracle(case):
     for word in terms:
         single = NCPoly.from_word(AffineAlgebra.critical(n), word)
         assert state_is_central(word, n) == _central_in_vacuum_module(single, n), word
+    # state_is_central checks only the conjunction, which a bracket table
+    # serving one generator another's brackets could pass: check each alone.
+    algebra, words = _critical_words(critical, n)
+    mod = vacuum_module(n)
+    vec = act_poly(mod, critical, V0)
+    for g in [Gen(i, i + 1, 0) for i in range(1, n)] + [Gen(n, 1, 1)]:
+        assert _kills_state(algebra, g, words) == mod.act(g, vec).is_zero(), (n, g)
 
 
 def test_centrality_rejects_indices_outside_the_rank():
@@ -945,6 +955,21 @@ def test_scan_caches_no_empty_fourier_table(monkeypatch):
     (mod,) = built
     assert mod._fourier_cache
     assert all(mod._fourier_cache.values())
+
+
+def test_default_scan_builds_no_pool(monkeypatch):
+    # Under the GIL a pool only makes the per-l scans take turns, so without
+    # CRITCENTER_WORKERS the scan runs in-line.
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the default scan built a thread pool")
+
+    monkeypatch.delenv("CRITCENTER_WORKERS", raising=False)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    assert _workers_from_env(5) == 1
+    report = vanishing_report(3, root_fn_km0(3, 1))
+    assert all(report["verified"])
 
 
 def test_vanishing_report_deterministic_and_parallel(monkeypatch):
