@@ -57,7 +57,6 @@ scan's starting cell, while the bounds it reports stay the depth bounds.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 from .algebra import TAU, AffineAlgebra, BilinearForm, Gen, gen_sort_key, word_from_tokens
@@ -642,10 +641,9 @@ def _critical_words(state, n):
 
 def _kills_state(algebra, g, words):
     """Whether g kills sum c_w w v_0, expanded as in ``state_is_central``."""
-    tables = {}
     raw = {}
     for word, c in words.items():
-        _derive(algebra, tables, g, word, c, (), raw)
+        _derive(algebra, g, word, c, (), raw)
     out = {}
     for word, c in raw.items():
         if c:
@@ -653,28 +651,16 @@ def _kills_state(algebra, g, words):
     return not out
 
 
-def _derive(algebra, tables, g, word, c, left, raw):
-    """Add c * left * [g, word] v_0 to raw as words of negative-degree factors.
-
-    ``tables`` maps each derivation generator to its brackets, keyed by the
-    factor: ``algebra.bracket(g, x)``, or () when that bracket is zero, so
-    a zero bracket is skipped before the word is sliced.
-    """
-    table = tables.get(g)
-    if table is None:
-        table = tables[g] = {}
+def _derive(algebra, g, word, c, left, raw):
+    """Add c * left * [g, word] v_0 to raw as words of negative-degree factors."""
     for i, x in enumerate(word):
-        pair = table.get(x)
-        if pair is None:
-            lie, central = algebra.bracket(g, x)
-            pair = table[x] = (lie, central) if lie or central else ()
-        if not pair:
+        lie, central = algebra.bracket(g, x)
+        if not lie and not central:
             continue
-        lie, central = pair
         pre, post = left + word[:i], word[i + 1 :]
         for h, c2 in lie:
             if h.u >= 0:
-                _derive(algebra, tables, h, post, c * c2, pre, raw)
+                _derive(algebra, h, post, c * c2, pre, raw)
             else:
                 key = pre + (h,) + post
                 raw[key] = raw.get(key, 0) + c * c2
@@ -694,18 +680,12 @@ def ss_operator_act(n, ell, N, rf):
 
 
 def _workers_from_env(cells):
-    """Scan threads for ``cells`` per-l scans: 1 unless CRITCENTER_WORKERS asks for more.
+    """Always 1: the per-l scans run in-line (see ``vanishing_report``).
 
-    Under the GIL a pool only makes the pure-Python scan take turns, so the
-    default scans in-line; ``cells`` is kept for callers that wrap this.
+    Under the GIL a thread pool only makes the pure-Python scans take turns.
+    Nothing here calls this; it stays only as a name the benchmark's tracer
+    patches, until that tracer drops it.
     """
-    raw = os.environ.get("CRITCENTER_WORKERS", "").strip()
-    if raw:
-        try:
-            requested = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"CRITCENTER_WORKERS must be an integer: {raw!r}") from exc
-        return max(1, requested)
     return 1
 
 
@@ -767,16 +747,7 @@ def vanishing_report(n, rf, scan_window=3):
                 return N, value
         return None, None
 
-    workers = _workers_from_env(len(rows))
-    if workers > 1 and len(rows) > 1:
-        # Opt-in only (CRITCENTER_WORKERS=k>1): the import pulls in logging,
-        # and the default in-line scan never pays for it.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(scan, rows))
-    else:
-        found = [scan(row) for row in rows]
+    found = [scan(row) for row in rows]  # in-line: a pool only takes turns under the GIL
 
     report = {
         "case": rf.describe(),

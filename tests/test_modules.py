@@ -18,7 +18,6 @@ from critcenter.modules import (
     _critical_words,
     _gbinom,
     _kills_state,
-    _workers_from_env,
     conductor_irregularity_report,
     lemma_relations_bound,
     root_fn_constant,
@@ -523,8 +522,8 @@ def test_centrality_matches_vacuum_module_oracle(case):
     for word in terms:
         single = NCPoly.from_word(AffineAlgebra.critical(n), word)
         assert state_is_central(word, n) == _central_in_vacuum_module(single, n), word
-    # state_is_central checks only the conjunction, which a bracket table
-    # serving one generator another's brackets could pass: check each alone.
+    # state_is_central checks only the conjunction, which a derivation using
+    # one generator's brackets for another could pass: check each alone.
     algebra, words = _critical_words(critical, n)
     mod = vacuum_module(n)
     vec = act_poly(mod, critical, V0)
@@ -958,8 +957,8 @@ def test_scan_caches_no_empty_fourier_table(monkeypatch):
 
 
 def test_default_scan_builds_no_pool(monkeypatch):
-    # Under the GIL a pool only makes the per-l scans take turns, so without
-    # CRITCENTER_WORKERS the scan runs in-line.
+    # Under the GIL a pool only makes the per-l scans take turns, so the
+    # scan runs in-line.
     import concurrent.futures
 
     def no_pool(*args, **kwargs):
@@ -967,7 +966,6 @@ def test_default_scan_builds_no_pool(monkeypatch):
 
     monkeypatch.delenv("CRITCENTER_WORKERS", raising=False)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    assert _workers_from_env(5) == 1
     report = vanishing_report(3, root_fn_km0(3, 1))
     assert all(report["verified"])
 
