@@ -11,7 +11,6 @@ from .laurent import INFINITY, LaurentElement
 from .algebra import (
     TAU,
     AffineAlgebra,
-    BilinearForm,
     Gen,
     bracket,
     killing_form,
@@ -56,7 +55,6 @@ __all__ = [
     "LaurentElement",
     "TAU",
     "AffineAlgebra",
-    "BilinearForm",
     "Gen",
     "bracket",
     "killing_form",

@@ -1,22 +1,23 @@
-"""The affine Kac-Moody algebra of gl_n with the residue cocycle.
+"""The affine Kac-Moody algebra of gl_n at the critical level.
 
 Generators e_ij[u] span the loop algebra gl_n((t)); the central extension is
 given by the two-cocycle
 
     (x f(t), y g(t))  |->  -kappa(x, y) * Res_{t=0} f(t) g'(t),
 
-where kappa is a rational multiple of the modified Killing form
+with kappa the critical level, -1/2 times the modified Killing form
 
     (X, Y) = 2n tr(XY) - 2 tr(X) tr(Y).
 
-The critical level is kappa = -1/2 times this form.  The outer derivation tau
-satisfies [tau, e_ij[r]] = -r e_ij[r-1] and kills the central element.
+Only there is the centre of the completed enveloping algebra nontrivial
+(Feigin-Frenkel), so the level is a constant, not a parameter.  The outer
+derivation tau satisfies [tau, e_ij[r]] = -r e_ij[r-1] and kills the central
+element.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -93,31 +94,13 @@ def killing_form(n, a, b):
     return 2 * n * (j == k) * (i == l) - 2 * (i == j) * (k == l)
 
 
-class BilinearForm:
-    """A rational multiple of the modified Killing form on gl_n."""
-
-    def __init__(self, n, multiple):
-        self.n = n
-        self.multiple = Fraction(multiple)
-
-    @classmethod
-    def critical(cls, n):
-        return cls(n, Fraction(-1, 2))
-
-    def value(self, a, b):
-        return self.multiple * killing_form(self.n, a, b)
-
-    def __repr__(self):
-        return f"BilinearForm(n={self.n}, multiple={self.multiple})"
-
-
-def bracket(a, b, form):
-    """[e_ij[u], e_kl[v]] as (loop part, central scalar).
+def bracket(a, b, n):
+    """[e_ij[u], e_kl[v]] in rank n, as (loop part, central scalar).
 
     The loop part is d_jk e_il[u+v] - d_li e_kj[u+v]; the central scalar is
-    -kappa(e_ij, e_kl) * v * d_{u+v,0}, the residue of t^u d(t^v), as an
-    int when it is integral (always, at the critical level, where it is
-    computed in int arithmetic only).
+    -kappa(e_ij, e_kl) * v * d_{u+v,0}, the residue of t^u d(t^v), with
+    kappa = -1/2 (,).  The modified Killing form takes only even values, so
+    the scalar is always an int.
     """
     if not (isinstance(a, Gen) and isinstance(b, Gen)):
         raise ValidationError("bracket arguments must be loop generators")
@@ -130,10 +113,7 @@ def bracket(a, b, form):
         terms[g] = terms.get(g, 0) - 1
     central = 0
     if a.u + b.u == 0:
-        scaled = -killing_form(form.n, (a.i, a.j), (b.i, b.j)) * b.u
-        scaled *= form.multiple.numerator
-        den = form.multiple.denominator
-        central = scaled // den if scaled % den == 0 else Fraction(scaled, den)
+        central = killing_form(n, (a.i, a.j), (b.i, b.j)) * b.u // 2
     return [(g, c) for g, c in terms.items() if c], central
 
 
@@ -147,32 +127,27 @@ def tau_bracket(x):
 
 
 class AffineAlgebra:
-    """Context object: rank n together with the chosen level form.
+    """Context object: affine gl_n of rank n at the critical level.
 
     Carries the straightening cache used by the PBW layer and a bracket
     cache, so that repeated normal-form computations against one algebra are
     shared.
     """
 
-    def __init__(self, n, form=None):
+    def __init__(self, n):
         if n < 1:
             raise ValidationError("rank must be at least 1")
         self.n = n
-        self.form = form if form is not None else BilinearForm.critical(n)
         self._straighten_cache = {}
         self._bracket_cache = {}
 
-    @classmethod
-    def critical(cls, n):
-        return cls(n, BilinearForm.critical(n))
-
     def bracket(self, a, b):
-        """``bracket(a, b, self.form)``, memoised, with the loop part as a tuple."""
+        """``bracket(a, b, self.n)``, memoised, with the loop part as a tuple."""
         hit = self._bracket_cache.get((a, b))
         if hit is None:
-            lie, central = bracket(a, b, self.form)
+            lie, central = bracket(a, b, self.n)
             hit = self._bracket_cache[a, b] = (tuple(lie), central)
         return hit
 
     def __repr__(self):
-        return f"AffineAlgebra(n={self.n}, form={self.form!r})"
+        return f"AffineAlgebra(n={self.n})"

@@ -38,7 +38,7 @@ sum n_i >= sum r(alpha_i).  Every truncation is certified, never heuristic,
 so reported zeroes are exact.
 
 When every depth r(i, j) is at most 1, a sharper truncation holds, by loop
-degree; it holds at any level.  The module is graded by loop degree: v_0 has
+degree.  The module is graded by loop degree: v_0 has
 degree 0, e_ij[u] raises degree by u, and the cocycle pairs only modes of
 opposite degree.  Every creation factor has u < r(i, j) <= 1, so every PBW
 monomial has degree <= 0 and every vector of positive degree is 0.  Give a
@@ -59,10 +59,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import TAU, AffineAlgebra, BilinearForm, Gen, gen_sort_key, word_from_tokens
+from .algebra import TAU, AffineAlgebra, Gen, gen_sort_key, word_from_tokens
 from .errors import DomainError, ValidationError
 from .laurent import LaurentElement
-from .lincomb import LinComb, _accumulate, canonical
+from .lincomb import LinComb, _accumulate, canonical, scalar_from_str
 from .pbw import NCPoly, _straighten
 from .sugawara import MinorNode, ss_nodes
 from .diffop import Oper, irregularity
@@ -185,10 +185,21 @@ def root_fn_km0(n, m):
     return RootFunction(n, values, "km0", {"m": m})
 
 
+def _exact(value, name):
+    """An int, Fraction or "num/den" string as a Fraction; never a float or bool."""
+    if isinstance(value, str):
+        return scalar_from_str(value)
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValidationError(f"{name} must be an exact rational, got {value!r}")
+
+
 def root_fn_moy_prasad(n, x, r):
     """r(i, j) = 1 - ceil(x_i - x_j - r) off the diagonal, 1 + floor(r) on it."""
-    x = [Fraction(c) for c in x]
-    r = Fraction(r)
+    if not isinstance(x, (list, tuple)):
+        raise ValidationError(f"point must be a list of coordinates, got {x!r}")
+    x = [_exact(c, "point coordinate") for c in x]
+    r = _exact(r, "depth parameter r")
     if len(x) != n:
         raise ValidationError("point must have one coordinate per row")
     if r < 0:
@@ -275,15 +286,15 @@ def _state_words(state):
 class RootModule:
     """The induced module for a root function, with exact generator action.
 
-    The level defaults to critical; any other level is accepted for sanity
-    experiments, but no centrality or vanishing statement is claimed there.
-    Straightening and field actions are memoized per instance, so reuse one
-    RootModule across a computation.
+    Its ``algebra`` is affine gl_n at the critical level, where the
+    centrality and vanishing statements hold.  Straightening and field
+    actions are memoized per instance, so reuse one RootModule across a
+    computation.
     """
 
-    def __init__(self, rf, level=Fraction(-1, 2)):
+    def __init__(self, rf):
         self.rf = rf
-        self.algebra = AffineAlgebra(rf.n, BilinearForm(rf.n, level))
+        self.algebra = AffineAlgebra(rf.n)
         self._act_cache = {}
         self._fourier_cache = {}
         self._move_cache = {}
@@ -594,9 +605,9 @@ def state_is_central(state, n):
     one check left, on e_{1,1}[1] = I[1], always passes.
 
     The generators act as derivations, with no module built.  The state
-    vector is sum c_w w v_0 over the state's deglex normal words w, each a
-    basis vector of the vacuum module, since every factor has negative
-    degree.  A generator g of degree >= 0 kills v_0, so
+    vector is sum c_w w v_0 over the state's words w, taken as given: any
+    word of negative-degree factors, normal or not.  A generator g of degree
+    >= 0 kills v_0, so
 
         g w v_0 = [g, w] v_0 = sum_i w_<i [g, w_i] w_>i v_0,
 
@@ -605,13 +616,13 @@ def state_is_central(state, n):
     v_0 in turn, so h w_>i v_0 expands by the same rule; every term is then
     a word of negative-degree factors.  Straightening (``pbw._straighten``)
     keeps them so, as brackets of negative-degree generators have negative
-    degree and no central term, and gives distinct basis vectors: g kills
-    the state iff the straightened sum is 0.
+    degree and no central term, and writes the sum in the PBW basis of the
+    vacuum module, the normal words of negative-degree factors: g kills the
+    state iff the straightened sum is 0.
 
-    A state that is not already an NCPoly over the critical rank-n algebra
-    (a dict, tuple, ModuleVector, or an NCPoly over another level or rank)
-    is read as its words, straightened over ``AffineAlgebra.critical(n)``,
-    so that every bracket is taken at the critical level.
+    The state may be an NCPoly, a dict, a tuple or a ModuleVector.  An
+    NCPoly over a rank-n algebra lends its caches; any other state is
+    expanded over a fresh ``AffineAlgebra(n)``.
     """
     algebra, words = _critical_words(state, n)
     generators = [Gen(i, i + 1, 0) for i in range(1, n)] + [Gen(n, 1, 1)]
@@ -619,24 +630,15 @@ def state_is_central(state, n):
 
 
 def _critical_words(state, n):
-    """The state as (critical rank-n algebra, {deglex normal word: coeff})."""
+    """The state as (rank-n algebra, {word of negative-degree factors: coeff})."""
     words = _state_words(state)
     for word in words:
         for g in word:
             if not (1 <= g.i <= n and 1 <= g.j <= n):
                 raise ValidationError(f"state factor {g!r} has an index outside 1..{n}")
-    if (
-        isinstance(state, NCPoly)
-        and state.algebra.n == n
-        and state.algebra.form.multiple == BilinearForm.critical(n).multiple
-    ):
-        algebra = state.algebra
-    else:
-        algebra = AffineAlgebra.critical(n)
-    table = {}
-    for word, c in words.items():
-        _accumulate(table, _straighten(algebra, word), c)
-    return algebra, {word: c for (_k, word), c in table.items()}
+    if isinstance(state, NCPoly) and state.algebra.n == n:
+        return state.algebra, words
+    return AffineAlgebra(n), words
 
 
 def _kills_state(algebra, g, words):

@@ -70,22 +70,16 @@ class NCPoly(LinComb):
 
     __slots__ = ("algebra",)
 
-    def __init__(self, algebra, terms=None, _normal=False):
+    def __init__(self, algebra, terms=None):
         self.algebra = algebra
         table = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for key, coeff in items:
+            for (tau_pow, word), coeff in items:
                 coeff = canonical(coeff)
-                if not coeff:
-                    continue
-                tau_pow, word = key
-                if _normal:
-                    contributions = {(tau_pow, tuple(word)): 1}
-                else:
+                if coeff:
                     raw = (TAU,) * tau_pow + tuple(word)
-                    contributions = _straighten(algebra, raw)
-                _accumulate(table, contributions, coeff)
+                    _accumulate(table, _straighten(algebra, raw), coeff)
         self._terms = table
 
     @classmethod
@@ -101,15 +95,15 @@ class NCPoly(LinComb):
 
     @classmethod
     def one(cls, algebra):
-        return cls(algebra, {(0, ()): 1}, _normal=True)
+        return cls._adopt(algebra, {(0, ()): 1})
 
     @classmethod
     def generator(cls, algebra, gen):
-        return cls(algebra, {(0, (gen,)): 1}, _normal=True)
+        return cls._adopt(algebra, {(0, (gen,)): 1})
 
     @classmethod
     def tau(cls, algebra):
-        return cls(algebra, {(1, ()): 1}, _normal=True)
+        return cls._adopt(algebra, {(1, ()): 1})
 
     @classmethod
     def from_word(cls, algebra, word, coeff=1, tau_power=0):
@@ -139,10 +133,7 @@ class NCPoly(LinComb):
     # -- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other):
-        if self.algebra is not other.algebra and (
-            self.algebra.n != other.algebra.n
-            or self.algebra.form.multiple != other.algebra.form.multiple
-        ):
+        if self.algebra.n != other.algebra.n:
             raise ValidationError("operands live over different algebras")
 
     def __add__(self, other):

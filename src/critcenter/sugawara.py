@@ -172,7 +172,7 @@ def ss_vectors(n):
     cached = _family_cache.get(n)
     if cached is not None:
         return cached
-    algebra = AffineAlgebra.critical(n)
+    algebra = AffineAlgebra(n)
     polys = {(): NCPoly.one(algebra)}
 
     def expand(node):

@@ -60,7 +60,7 @@ def criterion(cid, label):
 
 
 def _poly(alg, terms):
-    return NCPoly(alg, terms, _normal=True)
+    return NCPoly(alg, terms)
 
 
 def test_criterion_01_gl2_vectors_byte_for_byte():

@@ -1,14 +1,13 @@
 """Root modules, Fourier-coefficient actions, and the vanishing machinery."""
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critcenter.algebra import AffineAlgebra, BilinearForm, Gen, gen_sort_key
+from critcenter.algebra import AffineAlgebra, Gen, gen_sort_key
 from critcenter.errors import DomainError, ValidationError
 from critcenter.lincomb import _accumulate
 from critcenter.modules import (
@@ -69,8 +68,33 @@ def test_moy_prasad_root_function():
     generic = root_fn_moy_prasad(2, [Fraction(1, 2), 0], 0)
     assert generic.as_matrix() == [[1, 0], [1, 1]]
     assert generic(1, 1) == 1
+    text = root_fn_moy_prasad(2, ["1/2", 0], "0")  # exact text reads as a rational
+    assert text == generic and text.params == generic.params
     with pytest.raises(ValidationError):
         root_fn_moy_prasad(2, [3, 0], 0)  # depth 1 - ceil(3) < 0
+
+
+@pytest.mark.parametrize(
+    "x, r",
+    [
+        ([0.1, 0], 0),
+        ([0, 0], 0.5),
+        ([0, 0], True),
+        ([True, 0], 0),
+        (["a", 0], 0),
+        ([None, 0], 0),
+        ([0, 0], 1e400),
+        ("00", 0),
+    ],
+    ids=[
+        "float-x", "float-r", "bool-r", "bool-x", "text-x", "none-x", "huge-float-r", "string-point",
+    ],
+)
+def test_moy_prasad_rejects_inexact_input(x, r):
+    # A float would be read through its binary expansion and a bool as 0 or
+    # 1; neither is a rational point.  Bad text or None is a ValidationError.
+    with pytest.raises(ValidationError):
+        root_fn_moy_prasad(2, x, r)
 
 
 def test_moy_prasad_thresholds():
@@ -383,7 +407,6 @@ def _reordered_quadratic_variant():
             (0, (Gen(1, 1, -1), Gen(2, 2, -1))): 1,
             (0, (Gen(1, 2, -1), Gen(2, 1, -1))): -1,
         },
-        _normal=True,
     )
 
 
@@ -462,7 +485,7 @@ TRACE_PAIRING = (
 
 def test_trace_pairing_is_killed_by_e12_but_not_e21_1():
     terms, _n = TRACE_PAIRING
-    state = NCPoly(AffineAlgebra.critical(2), {(0, w): c for w, c in terms.items()})
+    state = NCPoly(AffineAlgebra(2), {(0, w): c for w, c in terms.items()})
     mod = vacuum_module(2)
     vec = act_poly(mod, state, V0)
     assert mod.act(Gen(1, 2, 0), vec).is_zero()
@@ -497,7 +520,7 @@ def _centrality_cases(draw):
         degrees = draw(st.lists(st.integers(-3, -1), min_size=k, max_size=k))
         word = _path_word(rows + [end], degrees)
         coeff = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
-        alg = AffineAlgebra.critical(n)
+        alg = AffineAlgebra(n)
         mutant = NCPoly(alg, {(0, w): c for w, c in terms.items()})
         terms = (mutant + NCPoly.from_word(alg, word, coeff)).words()
     return terms, n
@@ -508,19 +531,23 @@ def _centrality_cases(draw):
 @example(TRACE_PAIRING)
 def test_centrality_matches_vacuum_module_oracle(case):
     # The derivation path agrees with the vacuum-module path and the full
-    # sweep, whatever form the state is given in: an NCPoly over the
-    # critical algebra, a dict, a ModuleVector, an NCPoly over a
-    # non-critical level, and each word alone as a tuple.
+    # sweep, whatever form the state is given in: an NCPoly, a dict, a
+    # ModuleVector, a dict of the same vector in words that are not normal,
+    # and each word alone as a tuple.
     terms, n = case
-    normal = {(0, w): c for w, c in terms.items()}
-    critical = NCPoly(AffineAlgebra.critical(n), normal, _normal=True)
+    alg = AffineAlgebra(n)
+    critical = NCPoly(alg, {(0, w): c for w, c in terms.items()})
     expected = _central_in_vacuum_module(critical, n)
     assert _central_by_full_sweep(critical, n) == expected
-    off_level = NCPoly(AffineAlgebra(n, BilinearForm(n, 1)), normal, _normal=True)
-    for form in (critical, dict(terms), ModuleVector(terms), off_level):
+    # Each word reversed, plus the normal words that make up the difference.
+    reversed_words = {w[::-1]: c for w, c in terms.items()}
+    rest = critical - NCPoly(alg, {(0, w): c for w, c in reversed_words.items()})
+    unsorted = dict(reversed_words)
+    _accumulate(unsorted, rest.words())
+    for form in (critical, dict(terms), ModuleVector(terms), unsorted):
         assert state_is_central(form, n) == expected, (n, form)
     for word in terms:
-        single = NCPoly.from_word(AffineAlgebra.critical(n), word)
+        single = NCPoly.from_word(alg, word)
         assert state_is_central(word, n) == _central_in_vacuum_module(single, n), word
     # state_is_central checks only the conjunction, which a derivation using
     # one generator's brackets for another could pass: check each alone.
@@ -621,7 +648,9 @@ def test_centrality_fails_away_from_critical_level():
     # quadratic vector's coefficients no longer commute with the generators.
     fam = ss_vectors(2)
     rf = root_fn_constant(2, 1)
-    flat = RootModule(rf, level=Fraction(0))
+    flat = RootModule(rf)
+    crit = flat.algebra.bracket
+    flat.algebra.bracket = lambda a, b: (crit(a, b)[0], 0)
     broken = False
     for s in range(-2, 3):
         for N in range(-1, 4):
@@ -947,7 +976,6 @@ def test_scan_caches_no_empty_fourier_table(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(RootModule, "__init__", recording_init)
-    monkeypatch.setenv("CRITCENTER_WORKERS", "1")
     report = vanishing_report(5, root_fn_km0(5, 1))
     assert all(report["verified"])
     assert report["certified_from"] == [2 * ell - 1 for ell in range(1, 6)]
@@ -970,29 +998,11 @@ def test_default_scan_builds_no_pool(monkeypatch):
     assert all(report["verified"])
 
 
-def test_vanishing_report_deterministic_and_parallel(monkeypatch):
-    rf = root_fn_km0(2, 1)
-    base = vanishing_report(2, rf, scan_window=2)
-    monkeypatch.setenv("CRITCENTER_WORKERS", "3")
-    parallel = vanishing_report(2, rf, scan_window=2)
-    assert base == parallel
-
-
-def test_parallel_scan_under_fast_thread_switching(monkeypatch):
-    # The per-l scans share one module and its caches.  With more threads
-    # than cores and a tiny switch interval the report must still equal the
-    # sequential one.
+def test_vanishing_report_deterministic():
+    # The per-l scans share one module and its caches; a second report,
+    # from a fresh module, must equal the first.
     rf = root_fn_km0(4, 1)
-    monkeypatch.setenv("CRITCENTER_WORKERS", "1")
-    sequential = vanishing_report(4, rf, scan_window=3)
-    monkeypatch.setenv("CRITCENTER_WORKERS", "8")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        parallel = vanishing_report(4, rf, scan_window=3)
-    finally:
-        sys.setswitchinterval(interval)
-    assert parallel == sequential
+    assert vanishing_report(4, rf, scan_window=3) == vanishing_report(4, rf, scan_window=3)
 
 
 def test_conductor_irregularity_report():
@@ -1059,4 +1069,4 @@ def test_malformed_term_json_is_a_validation_error(data):
     with pytest.raises(ValidationError, match="term|word"):
         ModuleVector.from_json(data)
     with pytest.raises(ValidationError, match="term|word"):
-        NCPoly.from_json(AffineAlgebra(2, BilinearForm(2, Fraction(-1, 2))), data)
+        NCPoly.from_json(AffineAlgebra(2), data)

@@ -3,7 +3,10 @@
 import inspect
 
 import critcenter
+from critcenter import algebra
+from critcenter.algebra import AffineAlgebra
 from critcenter.modules import RootModule
+from critcenter.pbw import NCPoly
 
 
 def test_public_surface_resolves_and_holds_no_test_oracles():
@@ -20,3 +23,19 @@ def test_public_surface_resolves_and_holds_no_test_oracles():
         "self", "state", "s", "vec",
     ]
     assert not hasattr(RootModule, "_min_degree")
+
+
+def test_level_is_a_constant():
+    # Affine gl_n is taken at the critical level only: no form object, and no
+    # level, form or normal-form knob on a constructor.
+    assert not hasattr(critcenter, "BilinearForm")
+    assert not hasattr(algebra, "BilinearForm")
+    assert not hasattr(AffineAlgebra, "critical")
+
+    def params(f):
+        return [p for p in inspect.signature(f).parameters if p != "self"]
+
+    assert params(AffineAlgebra) == ["n"]
+    assert params(RootModule) == ["rf"]
+    assert params(algebra.bracket) == ["a", "b", "n"]
+    assert "_normal" not in params(NCPoly)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critcenter.algebra import TAU, AffineAlgebra, BilinearForm, Gen, bracket, gen_sort_key
+from critcenter.algebra import TAU, AffineAlgebra, Gen, bracket, gen_sort_key
 from critcenter.errors import DomainError, ValidationError
 from critcenter.modules import ModuleVector, RootModule, root_fn_km0
 from critcenter.lincomb import _accumulate
@@ -23,7 +23,7 @@ from critcenter.sugawara import ss_vectors
 
 
 def _alg(n=2):
-    return AffineAlgebra.critical(n)
+    return AffineAlgebra(n)
 
 
 def _word_poly(alg, *tokens):
@@ -36,7 +36,6 @@ def test_tau_straightening_matches_derivation_rule():
     expected = NCPoly(
         alg,
         {(1, (Gen(1, 1, -1),)): 1, (0, (Gen(1, 1, -2),)): -1},
-        _normal=True,
     )
     assert p == expected
 
@@ -44,7 +43,7 @@ def test_tau_straightening_matches_derivation_rule():
 def test_commuting_cartan_word_is_stable():
     alg = _alg()
     word = (Gen(1, 1, -1), Gen(2, 2, -1))
-    assert _word_poly(alg, *word) == NCPoly(alg, {(0, word): 1}, _normal=True)
+    assert _word_poly(alg, *word) == NCPoly(alg, {(0, word): 1})
 
 
 def test_offdiagonal_swap_produces_bracket_correction():
@@ -57,7 +56,6 @@ def test_offdiagonal_swap_produces_bracket_correction():
             (0, (Gen(2, 2, -2),)): 1,
             (0, (Gen(1, 1, -2),)): -1,
         },
-        _normal=True,
     )
     assert p == expected
 
@@ -133,7 +131,7 @@ def test_confluence_of_straightening():
             word = tuple(word)
             left = nc_normal_form(alg, [(1, word)])
             right = _straighten_rightmost(alg, word)
-            assert left == NCPoly(alg, right, _normal=True)
+            assert left == NCPoly(alg, right)
 
 
 def test_nc_mul_associativity_sampled():
@@ -174,7 +172,6 @@ def test_hc_project_offdiagonal_pair():
     expected = NCPoly(
         alg,
         {(0, (Gen(1, 1, -2),)): 1, (0, (Gen(2, 2, -2),)): -1},
-        _normal=True,
     )
     assert hc_project(p) == expected
     # while the element lowering first, e_21[-1] e_12[-1], projects to zero.
@@ -234,7 +231,6 @@ def _project_by_deletion(alg, terms):
     return NCPoly._adopt(alg, table)
 
 
-CRITICAL = Fraction(-1, 2)
 _negative_words = st.integers(1, 3).flatmap(
     lambda n: st.tuples(
         st.just(n),
@@ -247,16 +243,16 @@ _negative_words = st.integers(1, 3).flatmap(
 
 
 @settings(max_examples=150, deadline=None)
-@given(_negative_words, st.sampled_from([CRITICAL, Fraction(1), Fraction(3, 7)]))
-@example((2, (Gen(2, 1, -1), Gen(2, 1, -1), Gen(1, 2, -2))), CRITICAL)
-@example((3, (Gen(1, 2, -1), Gen(2, 3, -1), Gen(3, 1, -1), Gen(1, 2, -1))), CRITICAL)
-@example((3, (Gen(1, 3, -2), Gen(1, 3, -2), Gen(3, 1, -1), Gen(3, 1, -1))), CRITICAL)
-def test_hc_project_matches_triangular_deletion(case, level):
+@given(_negative_words)
+@example((2, (Gen(2, 1, -1), Gen(2, 1, -1), Gen(1, 2, -2))))
+@example((3, (Gen(1, 2, -1), Gen(2, 3, -1), Gen(3, 1, -1), Gen(1, 2, -1))))
+@example((3, (Gen(1, 3, -2), Gen(1, 3, -2), Gen(3, 1, -1), Gen(3, 1, -1))))
+def test_hc_project_matches_triangular_deletion(case):
     # The pruned recursion equals straighten-and-delete on raw words and on
-    # their deglex normal forms, at any level, for words of any weight,
-    # with repeated factors.
+    # their deglex normal forms, for words of any weight, with repeated
+    # factors.
     n, word = case
-    alg = AffineAlgebra(n, BilinearForm(n, level))
+    alg = AffineAlgebra(n)
     assert NCPoly._adopt(alg, dict(_project_word(alg, word))) == _project_by_deletion(
         alg, [(word, 1)]
     )
@@ -386,7 +382,7 @@ def test_cancelling_sums_store_no_zero(a_terms, b_terms, cancel, tau_pow):
     alg = _alg(2)
 
     def poly(terms):
-        return NCPoly(alg, [((tau_pow, w), c) for w, c in terms], _normal=True)
+        return NCPoly(alg, [((tau_pow, w), c) for w, c in terms])
 
     def comm(terms):
         return CommPoly([([(g.i, g.j, g.u) for g in w], c) for w, c in terms])
@@ -413,26 +409,26 @@ def _assert_canonical(combination):
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
 
 
-def test_non_integral_level_keeps_exact_fractions():
-    # At the critical level every central term is an integer; at level 1/3
-    # the bracket, straightening and module action must carry Fractions.
+def test_fraction_coefficients_stay_exact():
+    # Every central term is an int; a Fraction input coefficient must come
+    # through the bracket's central term, straightening and module action as
+    # an exact Fraction, and turn back into an int where it is integral.
     x, y = Gen(1, 2, 1), Gen(2, 1, -1)
-    assert type(bracket(x, y, BilinearForm.critical(2))[1]) is int
-    form = BilinearForm(2, Fraction(1, 3))
-    lie, central = bracket(x, y, form)
+    lie, central = bracket(x, y, 2)
     assert lie == [(Gen(1, 1, 0), 1), (Gen(2, 2, 0), -1)]
-    assert central == Fraction(4, 3) and type(central) is Fraction
+    assert central == -2 and type(central) is int
 
-    alg = AffineAlgebra(2, form)
-    p = nc_normal_form(alg, [(1, (x, y))])
-    expected = {(y, x): 1, (Gen(1, 1, 0),): 1, (Gen(2, 2, 0),): -1, (): Fraction(4, 3)}
-    assert p == NCPoly(alg, {(0, w): c for w, c in expected.items()})
+    alg = AffineAlgebra(2)
+    c = Fraction(2, 3)
+    p = nc_normal_form(alg, [(c, (x, y))])
+    expected = {(y, x): c, (Gen(1, 1, 0),): c, (Gen(2, 2, 0),): -c, (): -2 * c}
+    assert p == NCPoly(alg, {(0, w): v for w, v in expected.items()})
     _assert_canonical(p)
-    scaled = p.scale(Fraction(3, 4))  # the constant term becomes the int 1
-    assert scaled.coefficient(0, ()) == 1
+    scaled = p.scale(Fraction(3, 4))  # the constant term becomes the int -1
+    assert scaled.coefficient(0, ()) == -1
     _assert_canonical(scaled)
 
-    mod = RootModule(root_fn_km0(2, 1), level=Fraction(1, 3))
-    v = mod.act(x, mod.act(y, ModuleVector.vacuum()))
-    assert v == ModuleVector({(Gen(1, 1, 0),): 1, (Gen(2, 2, 0),): -1, (): Fraction(4, 3)})
+    mod = RootModule(root_fn_km0(2, 1))
+    v = mod.act(x, mod.act(y, ModuleVector({(): c})))
+    assert v == ModuleVector({(Gen(1, 1, 0),): c, (Gen(2, 2, 0),): -c, (): -2 * c})
     _assert_canonical(v)

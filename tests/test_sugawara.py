@@ -36,14 +36,14 @@ def _tau_plus_e(alg):
 
 
 def test_cdet_commutative_two_by_two():
-    alg = AffineAlgebra.critical(2)
+    alg = AffineAlgebra(2)
     a, b, c, d = Fraction(2), Fraction(3), Fraction(5), Fraction(7)
     m = _scalar_matrix(alg, [[a, b], [c, d]])
     assert cdet(m) == NCPoly.one(alg).scale(a * d - c * b)
 
 
 def test_cdet_identity_matrix():
-    alg = AffineAlgebra.critical(3)
+    alg = AffineAlgebra(3)
     one, zero = NCPoly.one(alg), NCPoly.zero(alg)
     m = [[one if i == j else zero for j in range(3)] for i in range(3)]
     assert cdet(m) == one
@@ -56,7 +56,7 @@ def test_cdet_full_rank_two_expansion():
     alg = ss_vectors(2).S[0].algebra
     expansion = cdet(_tau_plus_e(alg))
     expected = (
-        NCPoly(alg, {(2, ()): 1}, _normal=True)
+        NCPoly(alg, {(2, ()): 1})
         + NCPoly(
             alg,
             {
@@ -66,7 +66,6 @@ def test_cdet_full_rank_two_expansion():
                 (0, (Gen(1, 1, -1), Gen(2, 2, -1))): 1,
                 (0, (Gen(1, 2, -1), Gen(2, 1, -1))): -1,
             },
-            _normal=True,
         )
     )
     assert expansion == expected
@@ -78,7 +77,7 @@ def test_repeated_construction_never_mutates_cached_tables():
     # agree with a fresh algebra.
     import critcenter.sugawara as sugawara
 
-    alg, fresh = AffineAlgebra.critical(3), AffineAlgebra.critical(3)
+    alg, fresh = AffineAlgebra(3), AffineAlgebra(3)
     matrix = _tau_plus_e(alg)
     expected = cdet(_tau_plus_e(fresh))
     square = expected * expected
@@ -108,7 +107,7 @@ def test_family_rank_two_vectors():
     fam = ss_vectors(2)
     alg = fam.S[0].algebra
     assert fam.S[0] == NCPoly(
-        alg, {(0, (Gen(1, 1, -1),)): 1, (0, (Gen(2, 2, -1),)): 1}, _normal=True
+        alg, {(0, (Gen(1, 1, -1),)): 1, (0, (Gen(2, 2, -1),)): 1}
     )
     assert fam.S[1] == NCPoly(
         alg,
@@ -117,12 +116,10 @@ def test_family_rank_two_vectors():
             (0, (Gen(1, 1, -1), Gen(2, 2, -1))): 1,
             (0, (Gen(1, 2, -1), Gen(2, 1, -1))): -1,
         },
-        _normal=True,
     )
     assert fam.omega[1] == NCPoly(
         alg,
         {(0, (Gen(1, 1, -2),)): -1, (0, (Gen(1, 1, -1), Gen(2, 2, -1))): 1},
-        _normal=True,
     )
 
 
@@ -149,7 +146,7 @@ def test_row_property_examples():
     assert ok and witness is None
     alg = fam.S[0].algebra
     artificial = NCPoly(
-        alg, {(0, (Gen(2, 1, -1), Gen(2, 2, -1))): 1}, _normal=True
+        alg, {(0, (Gen(2, 1, -1), Gen(2, 2, -1))): 1}
     )
     ok, witness = check_row_property(artificial, 2)
     assert not ok
