@@ -1,6 +1,7 @@
 """Root modules, Fourier-coefficient actions, and the vanishing machinery."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -998,11 +999,31 @@ def test_default_scan_builds_no_pool(monkeypatch):
     assert all(report["verified"])
 
 
-def test_vanishing_report_deterministic():
-    # The per-l scans share one module and its caches; a second report,
-    # from a fresh module, must equal the first.
+def test_vanishing_report_deterministic_and_parallel(monkeypatch):
+    # The scan no longer reads CRITCENTER_WORKERS; setting it must leave the
+    # report unchanged.
+    rf = root_fn_km0(2, 1)
+    base = vanishing_report(2, rf, scan_window=2)
+    monkeypatch.setenv("CRITCENTER_WORKERS", "3")
+    parallel = vanishing_report(2, rf, scan_window=2)
+    assert base == parallel
+
+
+def test_parallel_scan_under_fast_thread_switching(monkeypatch):
+    # The per-l scans share one module and its caches.  Under any worker
+    # setting and a tiny switch interval the report must still equal the
+    # first one.
     rf = root_fn_km0(4, 1)
-    assert vanishing_report(4, rf, scan_window=3) == vanishing_report(4, rf, scan_window=3)
+    monkeypatch.setenv("CRITCENTER_WORKERS", "1")
+    sequential = vanishing_report(4, rf, scan_window=3)
+    monkeypatch.setenv("CRITCENTER_WORKERS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = vanishing_report(4, rf, scan_window=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == sequential
 
 
 def test_conductor_irregularity_report():
