@@ -2,13 +2,15 @@
 
 Every run is deterministic: identical invocations produce byte-identical
 output.  Validation problems exit with code 2 and a structured error JSON on
-stderr; anything else nonzero signals an internal invariant violation.
+stderr, and a stdout closed by its reader exits 1 quietly; anything else
+nonzero signals an internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -303,7 +305,17 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        try:
+            code = run()
+        finally:  # a closed pipe must fail here, not at shutdown
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``| head``): silence the interpreter's own
+        # final flush by pointing stdout at the null device, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

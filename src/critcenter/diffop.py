@@ -209,30 +209,57 @@ def _cofactor_minors(rows, orders):
     """The n x n determinants of `rows` read through each column order.
 
     Each determinant is expanded along its first column, row by row in the
-    stated order with alternating signs, exactly as the textbook recursion
-    does and in LaurentElement arithmetic, so every product and sum is
-    grouped the same way and the tracked precision is the same.  Minors are
-    shared through one table keyed by (remaining columns, remaining rows):
-    orders that end in the same column suffix reuse each other's
-    sub-minors, which brings n! products down to n 2^(n-1) per order.  After
-    each order, the minors of suffixes that no later order ends in are
-    dropped.  Entries are used as given: the callers pass scaled images,
-    whose coefficients are ints for an integral vector.
+    stated order with alternating signs, skipping exact-zero entries, as the
+    textbook recursion does.  Minors are shared through one table keyed by
+    (remaining columns, remaining rows), so orders that end in the same
+    column suffix reuse each other's sub-minors: n 2^(n-1) products per
+    order instead of n!.  After each order, the minors of suffixes that no
+    later order ends in are dropped.
+
+    If every entry is exact with int coefficients, as the callers' scaled
+    images of an integral vector are, the same recursion runs on ints by
+    Kronecker substitution t -> 2^B (Harvey, J. Symb. Comput. 2009): one
+    big-int multiply per cofactor product.  Entry a_rc is packed as
+    t^(-s_c) a_rc at t = 2^B, s_c the least exponent in column c, so the
+    minor over the columns C packs as t^(-sum_{c in C} s_c) times itself;
+    evaluation is a ring map, so the int arithmetic is exact.  With
+    N_c = sum_r ||a_rc||_1 and M = prod_c max(1, N_c), a minor over C (and
+    each partial sum of its expansion) has 1-norm at most
+    prod_{c in C} max(1, N_c) <= M, by induction on |C| and
+    ||pq||_1 <= ||p||_1 ||q||_1.  So with B = M.bit_length() + 1 every
+    coefficient lies below 2^(B-1) in absolute value, its balanced
+    base-2^B digits are unique, and a finished minor is decoded once per
+    order (``_unpack``); a packed entry is 0 exactly when the entry is.
+    An entry with a precision or a Fraction coefficient keeps the whole
+    table in LaurentElement arithmetic and its precision rules.
     """
+    table, zero = rows, LaurentElement.zero()
+    exact = all(e.precision is None and all(type(c) is int for c in e._coeff.values())
+                for row in rows for e in row)
+    if exact:
+        columns = list(zip(*rows))
+        shifts = [min((k for e in col for k in e._coeff), default=0) for col in columns]
+        bound = 1
+        for col in columns:
+            bound *= max(1, sum(abs(c) for e in col for c in e._coeff.values()))
+        width = bound.bit_length() + 1
+        table = [[sum(c << width * (k - s) for k, c in e._coeff.items())
+                  for e, s in zip(row, shifts)] for row in rows]
+        zero = 0
     memo = {}  # column suffix -> {remaining rows: minor}
 
     def minor(live, cols):
         if len(cols) == 1:
-            return rows[live[0]][cols[0]]
+            return table[live[0]][cols[0]]
         known = memo.setdefault(cols, {})
         total = known.get(live)
         if total is not None:
             return total
         rest = cols[1:]
-        total = LaurentElement.zero()
+        total = zero
         for pos, r in enumerate(live):
-            entry = rows[r][cols[0]]
-            if entry.is_zero():
+            entry = table[r][cols[0]]
+            if entry == zero:
                 continue
             cofactor = minor(live[:pos] + live[pos + 1 :], rest)
             total = total + entry * (-cofactor if pos % 2 else cofactor)
@@ -243,12 +270,30 @@ def _cofactor_minors(rows, orders):
     orders = [tuple(order) for order in orders]
     out = []
     for j, order in enumerate(orders):
-        out.append(minor(live, order))
+        value = minor(live, order)
+        if exact:
+            value = _unpack(value, width, sum(shifts[c] for c in order))
+        out.append(value)
         # keep peak memory down: drop the minors no later order ends in
         later = {o[k:] for o in orders[j + 1 :] for k in range(len(o))}
         for cols in memo.keys() - later:
             del memo[cols]
     return out
+
+
+def _unpack(value, width, shift):
+    """sum_i d_i t^(shift + i) over the balanced base-2^width digits d_i of value."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    terms, k = {}, shift
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= mask + 1
+        if digit:
+            terms[k] = digit
+        value = (value - digit) >> width
+        k += 1
+    return LaurentElement._adopt(terms, None)
 
 
 def oper_to_connection(chi):

@@ -107,7 +107,8 @@ class LaurentElement:
         table = {}
         if coeff:
             for k, c in (coeff.items() if isinstance(coeff, dict) else coeff):
-                k = int(k)
+                if type(k) is not int:
+                    raise ValidationError(f"exponent must be an int, got {k!r}")
                 table[k] = table.get(k, 0) + canonical(c)
         self._coeff = _normal(table, precision)
         self.precision = precision
@@ -132,7 +133,7 @@ class LaurentElement:
 
     @classmethod
     def monomial(cls, exponent, coefficient=1):
-        return cls({int(exponent): coefficient})
+        return cls({exponent: coefficient})
 
     @classmethod
     def constant(cls, value):

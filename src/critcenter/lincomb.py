@@ -18,10 +18,15 @@ from .errors import ValidationError
 
 
 def canonical(value):
-    """An exact scalar as an int when integral, else as a Fraction."""
+    """An exact scalar as an int when integral, else as a Fraction.
+
+    A float or a bool is not an exact scalar and raises ValidationError.
+    """
     if type(value) is int:
         return value
     if type(value) is not Fraction:
+        if isinstance(value, (float, bool)):
+            raise ValidationError(f"scalar must be exact, got {value!r}")
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 

@@ -319,6 +319,35 @@ def test_cli_import_skips_thread_pool_and_logging():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ss", "--n", "4", "--json"],
+        ["irr", "--json", "--data", '{"rank":1,"a":[{"terms":[[-2,"1"]]}]}'],
+        ["--version"],  # argparse prints and exits by itself
+    ],
+)
+def test_closed_stdout_exits_without_traceback(argv, unbuffered):
+    # `critcenter ... | head` closes the pipe early; here the reader is gone
+    # before the child writes a byte.  Buffered, a short output fails only
+    # at the final flush.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "critcenter.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    # argparse itself ignores an OSError from its unbuffered write
+    expected = 0 if argv == ["--version"] and unbuffered else 1
+    assert proc.wait(timeout=60) == expected
+    assert err == "", err
+
+
 def _benchmark_inputs():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)

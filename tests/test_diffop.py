@@ -6,12 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critcenter.diffop import (
     Connection,
     Oper,
+    _cofactor_minors,
     certificate_determinant,
     connection_to_oper,
     cyclic_vector_search,
@@ -407,6 +408,174 @@ def test_connection_to_oper_matches_cramer_rule(rank, data):
     assert outcome(connection_to_oper) == outcome(_cramer_oper)
 
 
+# -- the packed int table against the textbook recursion -----------------------
+
+
+# exact int entries: the table packs these into one int each
+_int_entries = st.one_of(
+    st.just(L.zero()),
+    st.builds(
+        L,
+        st.dictionaries(st.integers(min_value=-3, max_value=3),
+                        st.integers(min_value=-2**70, max_value=2**70),
+                        min_size=1, max_size=3),
+    ),
+)
+
+
+def _oper_orders(n):
+    """The column orders of connection_to_oper: the determinant, then
+    numerator idx with column n in place of column idx."""
+    return [range(n)] + [[n if c == idx else c for c in range(n)] for idx in range(n)]
+
+
+def _assert_minors_match_oracle(rows, orders):
+    minors = _cofactor_minors(rows, orders)
+    assert len(minors) == len(orders)
+    for order, value in zip(orders, minors):
+        expected = _cofactor_det([[row[c] for c in order] for row in rows])
+        assert _exact(value) == _exact(expected), list(order)
+
+
+@st.composite
+def _int_systems(draw):
+    """n x (n+1) int matrices, n = 1..6, with a zero row or column at times."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = [[draw(_int_entries) for _ in range(n + 1)] for _ in range(n)]
+    for r in draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=1)):
+        rows[r] = [L.zero()] * (n + 1)
+    for c in draw(st.sets(st.integers(min_value=0, max_value=n), max_size=1)):
+        for row in rows:
+            row[c] = L.zero()
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(_int_systems())
+def test_packed_minor_table_matches_cofactor_recursion(rows):
+    _assert_minors_match_oracle(rows, _oper_orders(len(rows)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_packed_table_all_equal_entries(n):
+    # every minor of size >= 2 is 0, while the partial sums of its
+    # expansion are not
+    entry = L({-3: 2**70, 0: -(2**70), 3: 2**70 - 1})
+    rows = [[entry] * (n + 1) for _ in range(n)]
+    _assert_minors_match_oracle(rows, _oper_orders(n))
+    assert laurent_matrix_det([row[:n] for row in rows]).is_zero()
+
+
+@pytest.mark.parametrize(
+    "coeff", [1, -1, 2**64, -(2**64), 2**64 - 1, -(2**64 - 1), 3 * 2**70, -(3 * 2**70)]
+)
+def test_packed_table_single_entry_at_the_bound(coeff):
+    # a 1 x 1 minor is its entry, whose 1-norm is the whole bound M
+    for entry in (L({-3: coeff}), L({2: coeff, 3: -coeff})):
+        assert _exact(laurent_matrix_det([[entry]])) == _exact(entry)
+
+
+def test_packed_table_one_huge_coefficient():
+    rng = random.Random(59)
+    for n in (2, 3, 4):
+        rows = [
+            [L({k: rng.randint(-3, 3) for k in (-2, 0, 1)}) for _ in range(n + 1)]
+            for _ in range(n)
+        ]
+        rows[rng.randrange(n)][rng.randrange(n + 1)] = L({-3: -(2**200), 2: 1})
+        _assert_minors_match_oracle(rows, _oper_orders(n))
+
+
+# -- metamorphic irregularity relations ---------------------------------------
+
+
+def _largest_slope(poles):
+    """The last Newton-polygon slope, max over a_j != 0 of (p_j - j) / j."""
+    return max(Fraction(p - j, j) for j, p in poles.items())
+
+
+@st.composite
+def _fractional_opers(draw):
+    """Opers of rank 2 or 3, a pole order p_j per nonzero a_j, whose largest
+    Newton-polygon slope max_j (p_j - j) / j is positive and not an integer.
+
+    A top index j with pole order p not divisible by j sets that slope; every
+    other a_i has p_i < i p / j, so its slope is smaller.
+    """
+    n = draw(st.integers(min_value=2, max_value=3))
+    top = draw(st.integers(min_value=2, max_value=n))
+    p = draw(st.integers(min_value=top + 1, max_value=8).filter(lambda q: q % top))
+    nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    a, poles = [], {}
+    for j in range(1, n + 1):
+        if j == top:
+            pole = p
+        else:
+            cap = -(-j * p // top) - 1  # the largest pole order below j p / top
+            pole = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=cap)))
+        if pole is None:
+            a.append(L.zero())
+            continue
+        poles[j] = pole
+        terms = {-pole: draw(nonzero)}
+        if draw(st.booleans()):
+            terms[1 - pole] = draw(nonzero)
+        a.append(L(terms))
+    slope = _largest_slope(poles)
+    assert slope > 0 and slope.denominator > 1
+    return Oper(a)
+
+
+def _pullback(conn, k):
+    """t = s^k: d/dt + A(t) becomes d/ds + k s^(k-1) A(s^k)."""
+    return Connection([
+        [L({k * e + k - 1: k * c for e, c in entry.items()}) for entry in row]
+        for row in conn.matrix
+    ])
+
+
+def _direct_sum(first, second):
+    zero = L.zero()
+    n, m = first.rank, second.rank
+    return Connection(
+        [list(row) + [zero] * m for row in first.matrix]
+        + [[zero] * n + list(row) for row in second.matrix]
+    )
+
+
+def _irregularities(chi):
+    return irregularity(chi), newton_polygon_irregularity(chi)
+
+
+def _extracted_irregularities(conn):
+    """Both formulas on the oper of a found cyclic vector of conn."""
+    return _irregularities(connection_to_oper(conn, cyclic_vector_search(conn)))
+
+
+_SLOPE_HALF = Oper([L.zero(), L.monomial(-3)])  # slope 1/2, Irr 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fractional_opers(), st.sampled_from((2, 3)))
+@example(_SLOPE_HALF, 2)
+@example(Oper([L.zero(), L.zero(), L.monomial(-4, 2)]), 3)  # slope 1/3
+@example(Oper([L.monomial(-1), L.monomial(-5)]), 2)  # slope 3/2
+def test_pullback_multiplies_irregularity(chi, k):
+    base = _irregularities(chi)
+    pulled = _extracted_irregularities(_pullback(oper_to_connection(chi), k))
+    assert pulled == (k * base[0], k * base[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_fractional_opers(), _fractional_opers())
+@example(_SLOPE_HALF, Oper([L.monomial(-1), L.zero(), L.monomial(-5, -2)]))
+@example(_SLOPE_HALF, _SLOPE_HALF)
+def test_direct_sum_adds_irregularity(first, second):
+    a, b = _irregularities(first), _irregularities(second)
+    conn = _direct_sum(oper_to_connection(first), oper_to_connection(second))
+    assert _extracted_irregularities(conn) == (a[0] + b[0], a[1] + b[1])
+
+
 def test_oper_json_round_trip():
     chi = Oper([L.monomial(-1), L({0: Fraction(1, 2), -2: 3})])
     assert Oper.from_json(chi.to_json()) == chi
@@ -492,6 +661,24 @@ _OPER_DIGESTS = {
     (6, 1): (
         "198b3311d1cdb53a5d31cd228cb731ff2e82442dab71d54b00ab09c2a02999c1",
         "e23cba40c31957b6937719baba0e5070ed09bbc66fad6b1bbc9718f46083a46d",
+    ),
+    # recorded from the LaurentElement minor table that preceded the packed
+    # int table, where the packing width is largest
+    (7, 0): (
+        "16dce6a425283dc472e8d05cafd06322a0d09623516f1bef39cbefc8393aedd9",
+        "92ca184651ac8d078146224025edf2ed7aa553e5f78487720951b35a65d6f133",
+    ),
+    (7, 1): (
+        "24f4a192fd81cd839da3db64c85c47ec21f12ac4670fa49897aedb7eca64e728",
+        "4ce845ac4039034054f3187059200d93676abc2f1b896267a347f8b06ce2e0bd",
+    ),
+    (8, 0): (
+        "847f79efaf491411658cf9cf9f8093f73dddde1d7ebc04413867d961e4581c9e",
+        "c9f49e398211868db11fe4dafd0d4fd06dfae7c1335cd81b515fd4c9044a2c43",
+    ),
+    (8, 1): (
+        "fc6fe819c8686c6764d7f146746f21c75e696aa5f8fafc10234d4fd8c6e60bed",
+        "4fb12fb9deecf870b1b217068fe05ee4b1c8de98e0d023163c5688216dbfd383",
     ),
 }
 

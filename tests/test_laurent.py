@@ -310,3 +310,21 @@ def test_coefficients_stay_canonical(d, p, e, q, k, order):
     for r, s in zip(mixed, exact, strict=True):
         _assert_canonical(r)
         assert r == s and hash(r) == hash(s)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: L({1.5: 1}),  # printed "t": int() truncated the exponent
+        lambda: L.monomial(2.7),  # printed "t^2"
+        lambda: L({True: 1}),
+        lambda: L({Fraction(2): 1}),
+        lambda: L({0: 0.5}),
+        lambda: L({0: True}),
+        lambda: L.constant(False),
+        lambda: L.one().scale(0.25),
+    ],
+)
+def test_inexact_input_is_rejected(build):
+    with pytest.raises(ValidationError):
+        build()

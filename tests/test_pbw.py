@@ -432,3 +432,19 @@ def test_fraction_coefficients_stay_exact():
     v = mod.act(x, mod.act(y, ModuleVector({(): c})))
     assert v == ModuleVector({(Gen(1, 1, 0),): c, (Gen(2, 2, 0),): -c, (): -2 * c})
     _assert_canonical(v)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # a float became its binary expansion, 3602879701896397/36028797018963968
+        lambda: NCPoly(AffineAlgebra(2), {(0, (Gen(1, 1, -1),)): 0.1}),
+        # a bool was read as the coefficient 1
+        lambda: ModuleVector({(): True}),
+        lambda: CommPoly({(): 1.0}),
+        lambda: NCPoly.one(_alg()).scale(0.5),
+    ],
+)
+def test_inexact_scalars_are_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
