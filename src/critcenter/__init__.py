@@ -39,7 +39,6 @@ from .modules import (
     RootFunction,
     RootModule,
     conductor_irregularity_report,
-    lemma_relations_bound,
     root_fn_constant,
     root_fn_km0,
     root_fn_moy_prasad,
@@ -81,7 +80,6 @@ __all__ = [
     "RootFunction",
     "RootModule",
     "conductor_irregularity_report",
-    "lemma_relations_bound",
     "root_fn_constant",
     "root_fn_km0",
     "root_fn_moy_prasad",

@@ -59,11 +59,16 @@ def _load_payload(args):
         raise ValidationError(f"payload is not valid JSON: {exc}") from exc
 
 
-def _emit(args, data, pretty):
+def _emit(args, data, text):
+    """Print ``data`` as JSON under ``--json``, else the display ``text()``.
+
+    ``text`` is called only without ``--json``, so no display string is
+    built for output that is thrown away.
+    """
     if args.json:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        print(pretty)
+        print(text())
 
 
 def _root_function(case, n, m, x=None, r=None):
@@ -85,12 +90,15 @@ def _root_function(case, n, m, x=None, r=None):
 
 def cmd_ss(args):
     family = ss_vectors(args.n)
-    data = family.to_json()
-    lines = [f"rank {args.n} Sugawara vectors"]
-    for ell, (s, w) in enumerate(zip(family.S, family.omega), 1):
-        lines.append(f"S_{ell} = {s}")
-        lines.append(f"omega_{ell} = {w}")
-    _emit(args, data, "\n".join(lines))
+
+    def text():
+        lines = [f"rank {args.n} Sugawara vectors"]
+        for ell, (s, w) in enumerate(zip(family.S, family.omega), 1):
+            lines.append(f"S_{ell} = {s}")
+            lines.append(f"omega_{ell} = {w}")
+        return "\n".join(lines)
+
+    _emit(args, family.to_json(), text)
     return 0
 
 
@@ -102,11 +110,15 @@ def cmd_hc(args):
         "omega": [w.to_json() for w in family.omega],
         "projection_matches": checks,
     }
-    lines = [f"rank {args.n} Cartan images"]
-    for ell, (w, ok) in enumerate(zip(family.omega, checks), 1):
-        lines.append(f"omega_{ell} = {w}")
-        lines.append(f"project(S_{ell}) == omega_{ell}: {ok}")
-    _emit(args, data, "\n".join(lines))
+
+    def text():
+        lines = [f"rank {args.n} Cartan images"]
+        for ell, (w, ok) in enumerate(zip(family.omega, checks), 1):
+            lines.append(f"omega_{ell} = {w}")
+            lines.append(f"project(S_{ell}) == omega_{ell}: {ok}")
+        return "\n".join(lines)
+
+    _emit(args, data, text)
     return 0
 
 
@@ -118,27 +130,25 @@ def cmd_miura(args):
         raise ValidationError("miura payload is a list of Laurent elements (or {'h': [...]})")
     h = [LaurentElement.from_json(entry) for entry in payload]
     chi = miura(h)
-    _emit(args, chi.to_json(), f"oper: {chi}")
+    _emit(args, chi.to_json(), lambda: f"oper: {chi}")
     return 0
 
 
 def cmd_irr(args):
     chi = Oper.from_json(_load_payload(args))
     value = irregularity(chi)
-    _emit(args, {"irregularity": value}, f"irregularity: {value}")
+    _emit(args, {"irregularity": value}, lambda: f"irregularity: {value}")
     return 0
 
 
 def cmd_cyclic(args):
     conn = Connection.from_json(_load_payload(args))
     found = cyclic_vector_search(conn, args.degree_bound)
-    data = found.to_json()
-    pretty = (
+    _emit(args, found.to_json(), lambda: (
         "cyclic vector: ("
         + ", ".join(str(c) for c in found.components)
         + f")\ncertificate: {found.certificate}"
-    )
-    _emit(args, data, pretty)
+    ))
     return 0
 
 
@@ -154,7 +164,7 @@ def cmd_oper(args):
     else:
         vector = cyclic_vector_search(conn, args.degree_bound).components
     chi = connection_to_oper(conn, vector, working_precision=args.precision)
-    _emit(args, chi.to_json(), f"oper: {chi}")
+    _emit(args, chi.to_json(), lambda: f"oper: {chi}")
     return 0
 
 
@@ -168,37 +178,40 @@ def cmd_act(args):
         "vector": result.to_json(),
         "is_zero": result.is_zero(),
     }
-    _emit(args, data, f"S_{args.ell},[{args.N}] . v0 = {result}")
+    _emit(args, data, lambda: f"S_{args.ell},[{args.N}] . v0 = {result}")
     return 0
 
 
 def cmd_verify(args):
     rf = _root_function(args.case, args.n, args.m, args.x, args.r)
     report = vanishing_report(args.n, rf, scan_window=args.window)
-    lines = [f"case {report['case']}"]
-    for idx in range(args.n):
-        lines.append(
-            "ell={}: threshold {}  verified {}  observed min vanishing {}".format(
-                idx + 1,
-                report["thresholds_theoretical"][idx],
-                report["verified"][idx],
-                report["observed_min_vanishing"][idx],
+
+    def text():
+        lines = [f"case {report['case']}"]
+        for idx in range(args.n):
+            lines.append(
+                "ell={}: threshold {}  verified {}  observed min vanishing {}".format(
+                    idx + 1,
+                    report["thresholds_theoretical"][idx],
+                    report["verified"][idx],
+                    report["observed_min_vanishing"][idx],
+                )
             )
-        )
-    _emit(args, report, "\n".join(lines))
+        return "\n".join(lines)
+
+    _emit(args, report, text)
     return 0
 
 
 def cmd_report(args):
     report = conductor_irregularity_report(args.n, args.m, scan_window=args.window)
-    lines = [
+    _emit(args, report, lambda: "\n".join([
         f"case {report['case']}",
         f"pole bounds: {report['pole_bounds']}",
         f"witness oper irregularity: {report['witness_irregularity']}",
         f"irregularity bound: {report['irregularity_bound']}",
         f"vanishing verified: {report['vanishing_verified']}",
-    ]
-    _emit(args, report, "\n".join(lines))
+    ]))
     return 0
 
 
@@ -214,11 +227,18 @@ class _Parser(argparse.ArgumentParser):
     argparse reports a bad or missing argument through ``error``, which
     prints the usage text and exits 2; here it raises instead, so ``run``
     prints the structured error JSON.  ``--help`` and ``--version`` exit
-    through ``exit`` and keep their output.  Subparsers share this class.
+    through ``exit`` and keep their output.  argparse prints that output
+    through ``_print_message``, which ignores an ``OSError``; here a stdout
+    closed by its reader raises, so they exit 1 as every subcommand does.
+    Subparsers share this class.
     """
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
 
 
 def build_parser():

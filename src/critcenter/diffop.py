@@ -8,6 +8,12 @@ of a connection D.  Its irregularity is computed by the pole-order formula
 
 which is always nonnegative and agrees with the Newton-polygon slope sum;
 terms with a_{n-i} = 0 are skipped.
+
+Cyclic vectors are certified, and opers extracted, from the scaled images
+W_k = L^k D^k v of ``Connection._images``.  Each row of an image is one
+``LaurentElement.dot``, which holds the product-precision rule, and a
+connection keeps the images of the last vector it was asked about, so the
+extraction extends the images the search left for the vector it found.
 """
 
 from __future__ import annotations
@@ -116,10 +122,11 @@ class Connection:
     """D = d/dt + A acting on column vectors of Laurent series.
 
     ``denominator`` is the common denominator L of A's coefficients and
-    ``integral`` is L*A, whose coefficients are ints.
+    ``integral`` is L*A, whose coefficients are ints.  ``_last`` is the
+    key and images of the last vector ``_images`` was asked about.
     """
 
-    __slots__ = ("matrix", "denominator", "integral")
+    __slots__ = ("matrix", "denominator", "integral", "_last")
 
     def __init__(self, matrix):
         matrix = tuple(tuple(row) for row in matrix)
@@ -133,6 +140,7 @@ class Connection:
         self.integral = tuple(
             tuple(e.scale(self.denominator) for e in row) for row in matrix
         )
+        self._last = (None, None)
 
     @property
     def rank(self):
@@ -140,33 +148,40 @@ class Connection:
 
     def apply(self, vector):
         """D(v) = v' + A v, componentwise exact."""
-        return self._images(vector, 2, scaled=False)[1]
+        return list(self._images(vector, 2, scaled=False)[1])
 
     def _images(self, vector, count, scaled=True):
         """The first ``count`` images W_k = L^k D^k v, or D^k v if not scaled.
 
-        Each step is W_{k+1} = L W_k' + (L A) W_k, summed row by row left to
-        right, and it is D(v) = v' + A v when L = 1.  By induction W_k is
+        Each step is W_{k+1} = L W_k' + (L A) W_k, one ``LaurentElement.dot``
+        per row, and it is D(v) = v' + A v when L = 1.  By induction W_k is
         exactly L^k D^k v, and as multiplying by the nonzero constant L
         moves no lower bound, no precision and no exact zero, the tracked
         precision of W_k is that of D^k v.
+
+        The images of the last vector asked about (keyed on its components
+        and ``scaled``) are kept and extended when more are asked for, so
+        ``connection_to_oper`` on the vector ``cyclic_vector_search`` found
+        computes only W_n.  The lists returned are shared with that memo:
+        callers must not mutate them.
         """
         if len(vector) != self.rank:
             raise DimensionMismatchError(
                 f"vector of length {len(vector)} against rank {self.rank}"
             )
+        key = (tuple(vector), scaled)
+        last_key, images = self._last
+        if last_key != key:
+            images = [list(vector)]
+            self._last = (key, images)
         matrix, scale = (self.integral, self.denominator) if scaled else (self.matrix, 1)
-        images = [list(vector)]
-        for _ in range(count - 1):
+        while len(images) < count:
             w = images[-1]
-            image = []
-            for row, entry in zip(matrix, w):
-                entry = entry.derivative().scale(scale)
-                for a, x in zip(row, w):
-                    entry = entry + a * x
-                image.append(entry)
-            images.append(image)
-        return images
+            images.append([
+                LaurentElement.dot(zip(row, w), entry.derivative().scale(scale))
+                for row, entry in zip(matrix, w)
+            ])
+        return images[:count]
 
     def to_json(self):
         return {
@@ -231,9 +246,11 @@ def _cofactor_minors(rows, orders):
     base-2^B digits are unique, and a finished minor is decoded once per
     order (``_unpack``); a packed entry is 0 exactly when the entry is.
     An entry with a precision or a Fraction coefficient keeps the whole
-    table in LaurentElement arithmetic and its precision rules.
+    table in LaurentElement arithmetic: each minor is one
+    ``LaurentElement.dot`` of its signed cofactor products, so the product
+    and sum precision rules are the ones ``dot`` holds.
     """
-    table, zero = rows, LaurentElement.zero()
+    table, zero, combine = rows, LaurentElement.zero(), LaurentElement.dot
     exact = all(e.precision is None and all(type(c) is int for c in e._coeff.values())
                 for row in rows for e in row)
     if exact:
@@ -246,6 +263,10 @@ def _cofactor_minors(rows, orders):
         table = [[sum(c << width * (k - s) for k, c in e._coeff.items())
                   for e, s in zip(row, shifts)] for row in rows]
         zero = 0
+
+        def combine(pairs):
+            return sum(entry * cofactor for entry, cofactor in pairs)
+
     memo = {}  # column suffix -> {remaining rows: minor}
 
     def minor(live, cols):
@@ -256,14 +277,14 @@ def _cofactor_minors(rows, orders):
         if total is not None:
             return total
         rest = cols[1:]
-        total = zero
+        pairs = []
         for pos, r in enumerate(live):
             entry = table[r][cols[0]]
             if entry == zero:
                 continue
             cofactor = minor(live[:pos] + live[pos + 1 :], rest)
-            total = total + entry * (-cofactor if pos % 2 else cofactor)
-        known[live] = total
+            pairs.append((entry, -cofactor if pos % 2 else cofactor))
+        total = known[live] = combine(pairs)
         return total
 
     live = tuple(range(len(rows)))
@@ -380,7 +401,8 @@ def connection_to_oper(conn, vector, working_precision=None):
     Components of the cyclic vector must be exact (finite) Laurent elements.
     The certificate determinant and the n numerators are read from one minor
     table over the augmented matrix (W_{n-1}, ..., W_0 | W_n) of the scaled
-    images W_k = L^k D^k v (``Connection._images``), so they share every
+    images W_k = L^k D^k v (``Connection._images``, which for the vector a
+    search just certified computes only W_n), so they share every
     minor of the columns they have in common, and for an integral vector
     the table runs on ints.  Column c < n carries the factor L^(n-1-c) and
     column n the factor L^n, so det_W = L^(n(n-1)/2) det and the numerator

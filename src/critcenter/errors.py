@@ -13,10 +13,6 @@ class UndeterminedCoefficientError(CritCenterError):
     """A requested series coefficient lies at or beyond the precision bound."""
 
 
-class UndeterminedResidueError(UndeterminedCoefficientError):
-    """The t^-1 coefficient is not determined by the stored precision."""
-
-
 class UndeterminedValuationError(CritCenterError):
     """The element is zero up to its precision bound, so its valuation is unknown."""
 

@@ -2,8 +2,8 @@
 
 Coefficients are exact scalars in the package's canonical form
 (``lincomb.canonical``): an int when integral, a `fractions.Fraction`
-otherwise, never zero and never a float, so ``coefficient`` and ``residue``
-may return an int.  A LaurentElement is a finite rational combination of
+otherwise, never zero and never a float, so ``coefficient`` may return an
+int.  A LaurentElement is a finite rational combination of
 integer powers of t, optionally truncated: when ``precision`` is set to p,
 coefficients of t^k for k >= p are unknown and the element stands for its
 stored part plus O(t^p).  Exact (untruncated) elements have
@@ -11,6 +11,10 @@ stored part plus O(t^p).  Exact (untruncated) elements have
 
 The valuation of the exact zero element is the sentinel ``INFINITY``, which
 compares greater than every integer.
+
+Products and sums of products go through ``LaurentElement.dot``, one fused
+multiply-accumulate that holds the product-precision rule; ``*`` is its
+one-pair case.
 
 Series division ``a.divide(d, order)`` is ``a * d.invert(order)`` computed
 by a fraction-free recurrence in ints, one Fraction per quotient
@@ -25,7 +29,6 @@ from math import lcm
 from .errors import (
     PrecisionExhaustedError,
     UndeterminedCoefficientError,
-    UndeterminedResidueError,
     UndeterminedValuationError,
     ValidationError,
     ZeroDivisorError,
@@ -159,14 +162,6 @@ class LaurentElement:
             )
         return self._coeff.get(k, 0)
 
-    def residue(self):
-        """The coefficient of t^-1."""
-        if self.precision is not None and self.precision <= -1:
-            raise UndeterminedResidueError(
-                f"residue not determined at precision O(t^{self.precision})"
-            )
-        return self._coeff.get(-1, 0)
-
     def valuation(self):
         """Smallest exponent with nonzero coefficient; INFINITY for zero."""
         if self._coeff:
@@ -207,25 +202,44 @@ class LaurentElement:
             return self.scale(other)
         if not isinstance(other, LaurentElement):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return LaurentElement.zero()
-        prec = None
-        if other.precision is not None:
-            lb = self._lower_bound()
-            prec = _min_prec(prec, None if lb is None else lb + other.precision)
-        if self.precision is not None:
-            lb = other._lower_bound()
-            prec = _min_prec(prec, None if lb is None else lb + self.precision)
-        table = {}
-        for k1, c1 in self._coeff.items():
-            for k2, c2 in other._coeff.items():
-                k = k1 + k2
-                if prec is not None and k >= prec:
-                    continue
-                table[k] = table.get(k, 0) + c1 * c2
-        return self._adopt(table, prec)
+        return LaurentElement.dot(((self, other),))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(pairs, start=None):
+        """``start + a1*b1 + a2*b2 + ...`` over the pairs (a, b), normalised once.
+
+        ``start=None`` is the exact zero.  The result equals the left fold of
+        ``+`` and ``*`` in every coefficient and in its precision, and this
+        is where the product-precision rule lives.  A product with an
+        exact-zero factor is the exact zero and contributes nothing.
+        Otherwise a*b is determined below lb(a) + prec(b) and lb(b) +
+        prec(a), where lb is the least stored exponent, or the precision of
+        a truncated zero, so ``O(t^p)`` still bounds it.  A sum is
+        determined below the least precision of its terms, so every product
+        is needed only below the least precision of ``start`` and all the
+        products, and all of them accumulate into one table.
+        """
+        prec = None if start is None else start.precision
+        factors = []
+        for a, b in pairs:
+            if a.is_zero() or b.is_zero():
+                continue
+            if b.precision is not None:
+                prec = _min_prec(prec, a._lower_bound() + b.precision)
+            if a.precision is not None:
+                prec = _min_prec(prec, b._lower_bound() + a.precision)
+            factors.append((a._coeff.items(), b._coeff.items()))
+        table = {} if start is None else dict(start._coeff)
+        get = table.get
+        for left, right in factors:
+            for k1, c1 in left:
+                for k2, c2 in right:
+                    k = k1 + k2
+                    if prec is None or k < prec:
+                        table[k] = get(k, 0) + c1 * c2
+        return LaurentElement._adopt(table, prec)
 
     def scale(self, scalar):
         scalar = canonical(scalar)

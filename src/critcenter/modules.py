@@ -546,17 +546,6 @@ class RootModule:
 # -- module-level operations ---------------------------------------------
 
 
-def lemma_relations_bound(word, rf):
-    """Whether sum of degrees >= sum of depths, which forces word.v_0 = 0."""
-    degrees = 0
-    depths = 0
-    for entry in word:
-        g = entry if isinstance(entry, Gen) else Gen(*entry)
-        degrees += g.u
-        depths += rf(g.i, g.j)
-    return degrees >= depths
-
-
 def state_is_central(state, n):
     """Exact membership test for the centre of the vacuum vertex algebra.
 

@@ -32,7 +32,6 @@ from critcenter.modules import (
     ModuleVector,
     RootModule,
     conductor_irregularity_report,
-    lemma_relations_bound,
     root_fn_constant,
     root_fn_km0,
     root_fn_moy_prasad,
@@ -45,6 +44,7 @@ from critcenter.sugawara import (
     commutative_char_poly_coefficients,
     ss_vectors,
 )
+from oracles import lemma_relations_bound
 
 V0 = ModuleVector.vacuum()
 

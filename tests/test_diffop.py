@@ -617,6 +617,56 @@ def test_scaled_images_are_exact_multiples(data):
     assert _exact(certificate_determinant(conn, vector)) == _exact(det)
 
 
+def _exact_images(images):
+    return [[_exact(x) for x in image] for image in images]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_image_memo_never_leaks(data):
+    # the connection keeps the images of the last vector; whatever it was
+    # asked before, every answer equals that of a fresh connection
+    conn = Connection(data.draw(_square_matrices(_entries, 1, 4)))
+    n = conn.rank
+    counts = st.integers(min_value=1, max_value=n + 1)
+    v = [data.draw(_entries) for _ in range(n)]
+    if data.draw(st.booleans()):  # equal coefficients, maybe another precision
+        u = [x.truncate(data.draw(st.integers(min_value=-2, max_value=5))) for x in v]
+    else:
+        u = [data.draw(_entries) for _ in range(n)]
+    for before, after in ((v, u), (u, v), (v, v)):
+        conn._images(before, data.draw(counts))
+        k = data.draw(counts)
+        assert _exact_images(conn._images(after, k)) == _exact_images(
+            Connection(conn.matrix)._images(after, k)
+        )
+    conn._images(v, data.draw(counts))
+    assert [_exact(x) for x in conn.apply(v)] == [
+        _exact(x) for x in Connection(conn.matrix).apply(v)
+    ]
+    # extending the memo leaves a list handed out earlier as it was
+    short = conn._images(u, 1)
+    conn._images(u, n + 1)
+    assert len(short) == 1
+
+
+@pytest.mark.parametrize("rank, seed, truncated", [(3, 0, False), (4, 1, False),
+                                                   (5, 0, False), (4, 0, True)])
+def test_extraction_after_search_equals_a_fresh_extraction(rank, seed, truncated):
+    # the extraction extends the images the search left; a fresh connection
+    # given the same vector as a plain list computes them all again.  A
+    # truncated entry keeps the minor table in Laurent arithmetic.
+    conn = _generic_connection(seed, rank)
+    if truncated:
+        matrix = [list(row) for row in conn.matrix]
+        matrix[0][0] = matrix[0][0].truncate(4)
+        conn = Connection(matrix)
+    found = cyclic_vector_search(conn)
+    chi = connection_to_oper(conn, found)
+    fresh = connection_to_oper(Connection(conn.matrix), list(found.components))
+    assert [_exact(a) for a in chi.a] == [_exact(a) for a in fresh.a]
+
+
 def _generic_connection(seed, rank):
     """A connection shaped like the benchmark's: every entry is
     c_-2 t^-2 + c_-1 t^-1 + c_0 with nonzero c_k = num/den."""

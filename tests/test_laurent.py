@@ -8,12 +8,24 @@ from hypothesis import strategies as st
 
 from critcenter.errors import (
     PrecisionExhaustedError,
-    UndeterminedResidueError,
+    UndeterminedCoefficientError,
     UndeterminedValuationError,
     ValidationError,
     ZeroDivisorError,
 )
 from critcenter.laurent import INFINITY, LaurentElement as L, scalar_from_str
+
+
+class UndeterminedResidueError(UndeterminedCoefficientError):
+    """The t^-1 coefficient is not determined by the stored precision."""
+
+
+def residue(f):
+    """The coefficient of t^-1."""
+    try:
+        return f.coefficient(-1)
+    except UndeterminedCoefficientError as exc:
+        raise UndeterminedResidueError(str(exc)) from exc
 
 
 def test_mul_polynomial_product():
@@ -55,19 +67,19 @@ def test_derivative_precision_drops():
 
 
 def test_residue_examples():
-    assert L.monomial(-1).residue() == 1
-    assert L({-2: 1, 0: 3}).residue() == 0
+    assert residue(L.monomial(-1)) == 1
+    assert residue(L({-2: 1, 0: 3})) == 0
     f = L.monomial(-1)
     g = L.monomial(1)
-    assert (f * g.derivative()).residue() == 1
-    assert (f.derivative() * g).residue() == -1
+    assert residue(f * g.derivative()) == 1
+    assert residue(f.derivative() * g) == -1
 
 
 def test_residue_undetermined():
     with pytest.raises(UndeterminedResidueError):
-        L({-3: 1}, precision=-1).residue()
+        residue(L({-3: 1}, precision=-1))
     # precision 0 still determines the t^-1 coefficient
-    assert L({-1: 7}, precision=0).residue() == 7
+    assert residue(L({-1: 7}, precision=0)) == 7
 
 
 def test_valuation_examples():
@@ -161,7 +173,7 @@ def test_leibniz_rule(a, b):
 
 @given(elements, elements)
 def test_residue_integration_by_parts(f, g):
-    assert (f * g.derivative()).residue() == -(f.derivative() * g).residue()
+    assert residue(f * g.derivative()) == -residue(f.derivative() * g)
 
 
 def _geometric_invert(a, order):
@@ -328,3 +340,62 @@ def test_coefficients_stay_canonical(d, p, e, q, k, order):
 def test_inexact_input_is_rejected(build):
     with pytest.raises(ValidationError):
         build()
+
+
+# -- fused multiply-accumulate ---------------------------------------------
+
+# exact and truncated elements with int or Fraction coefficients, exact
+# zeros and truncated zeros O(t^p)
+dot_operands = st.one_of(
+    st.builds(L, exact_tables, precisions),
+    st.just(L.zero()),
+    st.builds(L.zero, st.integers(min_value=-4, max_value=8)),
+)
+
+
+def _reference_product(a, b):
+    """a * b by the product-precision rule, written out on its own."""
+    if a.is_zero() or b.is_zero():
+        return L.zero()
+    bounds = []
+    if b.precision is not None:
+        bounds.append(min(a._coeff, default=a.precision) + b.precision)
+    if a.precision is not None:
+        bounds.append(min(b._coeff, default=b.precision) + a.precision)
+    prec = min(bounds, default=None)
+    table = {}
+    for k1, c1 in a._coeff.items():
+        for k2, c2 in b._coeff.items():
+            if prec is None or k1 + k2 < prec:
+                table[k1 + k2] = table.get(k1 + k2, 0) + Fraction(c1) * c2
+    return L(table, prec)
+
+
+def _exact(element):
+    """Coefficients and precision: equality that cannot hide a precision."""
+    return dict(element._coeff), element.precision
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(dot_operands, dot_operands), max_size=4),
+       st.one_of(st.none(), dot_operands))
+@example([], None)
+@example([(L.zero(), L({0: 1}, 2)), (L({1: 3}), L.zero(-1))], L({-1: Fraction(1, 2)}))
+def test_dot_equals_the_fold_of_sums_and_products(pairs, start):
+    fold = ref = L.zero() if start is None else start
+    for a, b in pairs:
+        fold = fold + a * b
+        ref = ref + _reference_product(a, b)
+    result = L.dot(pairs, start)
+    _assert_canonical(result)
+    assert _exact(result) == _exact(fold) == _exact(ref)
+    assert L.dot(iter(pairs), start) == result  # any iterable of pairs
+
+
+def test_dot_precision_examples():
+    # a truncated zero bounds the precision; an exact zero does not
+    assert L.dot([(L.zero(3), L.monomial(-1))]) == L.zero(2)
+    assert L.dot([(L.zero(), L({0: 1}, 2))], L.one()) == L.one()
+    # the least precision of start and every product wins
+    assert L.dot([(L.one(), L({0: 1, 5: 1}, 6))], L({0: 1}, 4)) == L({0: 2}, 4)
+    assert L.dot([]) == L.zero() and L.dot([]).is_zero()

@@ -19,7 +19,6 @@ from critcenter.modules import (
     _gbinom,
     _kills_state,
     conductor_irregularity_report,
-    lemma_relations_bound,
     root_fn_constant,
     root_fn_km0,
     root_fn_moy_prasad,
@@ -29,7 +28,7 @@ from critcenter.modules import (
 )
 from critcenter.pbw import NCPoly
 from critcenter.sugawara import ss_nodes, ss_vectors
-from oracles import vacuum_module
+from oracles import lemma_relations_bound, vacuum_module
 
 V0 = ModuleVector.vacuum()
 

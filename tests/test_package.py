@@ -3,8 +3,9 @@
 import inspect
 
 import critcenter
-from critcenter import algebra
+from critcenter import algebra, errors
 from critcenter.algebra import AffineAlgebra
+from critcenter.laurent import LaurentElement
 from critcenter.modules import RootModule
 from critcenter.pbw import NCPoly
 
@@ -15,9 +16,12 @@ def test_public_surface_resolves_and_holds_no_test_oracles():
     exec("from critcenter import *", namespace)
     assert set(critcenter.__all__) <= set(namespace)
     # Test-only oracles live under tests/, and the dead names are gone.
-    for name in ("vacuum_module", "cartan_evaluate", "central_character", "Scalar", "CENTRAL"):
+    for name in ("vacuum_module", "cartan_evaluate", "central_character", "Scalar",
+                 "CENTRAL", "lemma_relations_bound"):
         assert not hasattr(critcenter, name), name
     assert not hasattr(RootModule, "act_poly")
+    assert not hasattr(LaurentElement, "residue")
+    assert not hasattr(errors, "UndeterminedResidueError")
     # The Fourier recursion has one mode: no trace keyword, no whole-vector path.
     assert list(inspect.signature(RootModule.fourier_act).parameters) == [
         "self", "state", "s", "vec",
