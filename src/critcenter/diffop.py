@@ -162,8 +162,8 @@ class Connection:
         The images of the last vector asked about (keyed on its components
         and ``scaled``) are kept and extended when more are asked for, so
         ``connection_to_oper`` on the vector ``cyclic_vector_search`` found
-        computes only W_n.  The lists returned are shared with that memo:
-        callers must not mutate them.
+        computes only W_n.  Images and their rows are tuples, and an
+        extension builds a new tuple, so nothing handed out ever changes.
         """
         if len(vector) != self.rank:
             raise DimensionMismatchError(
@@ -172,15 +172,15 @@ class Connection:
         key = (tuple(vector), scaled)
         last_key, images = self._last
         if last_key != key:
-            images = [list(vector)]
-            self._last = (key, images)
+            images = (key[0],)
         matrix, scale = (self.integral, self.denominator) if scaled else (self.matrix, 1)
         while len(images) < count:
             w = images[-1]
-            images.append([
+            images += (tuple(
                 LaurentElement.dot(zip(row, w), entry.derivative().scale(scale))
                 for row, entry in zip(matrix, w)
-            ])
+            ),)
+        self._last = (key, images)
         return images[:count]
 
     def to_json(self):
@@ -246,11 +246,9 @@ def _cofactor_minors(rows, orders):
     base-2^B digits are unique, and a finished minor is decoded once per
     order (``_unpack``); a packed entry is 0 exactly when the entry is.
     An entry with a precision or a Fraction coefficient keeps the whole
-    table in LaurentElement arithmetic: each minor is one
-    ``LaurentElement.dot`` of its signed cofactor products, so the product
-    and sum precision rules are the ones ``dot`` holds.
+    table in LaurentElement arithmetic and its precision rules.
     """
-    table, zero, combine = rows, LaurentElement.zero(), LaurentElement.dot
+    table, zero = rows, LaurentElement.zero()
     exact = all(e.precision is None and all(type(c) is int for c in e._coeff.values())
                 for row in rows for e in row)
     if exact:
@@ -263,10 +261,6 @@ def _cofactor_minors(rows, orders):
         table = [[sum(c << width * (k - s) for k, c in e._coeff.items())
                   for e, s in zip(row, shifts)] for row in rows]
         zero = 0
-
-        def combine(pairs):
-            return sum(entry * cofactor for entry, cofactor in pairs)
-
     memo = {}  # column suffix -> {remaining rows: minor}
 
     def minor(live, cols):
@@ -277,14 +271,14 @@ def _cofactor_minors(rows, orders):
         if total is not None:
             return total
         rest = cols[1:]
-        pairs = []
+        total = zero
         for pos, r in enumerate(live):
             entry = table[r][cols[0]]
             if entry == zero:
                 continue
             cofactor = minor(live[:pos] + live[pos + 1 :], rest)
-            pairs.append((entry, -cofactor if pos % 2 else cofactor))
-        total = known[live] = combine(pairs)
+            total = total + entry * (-cofactor if pos % 2 else cofactor)
+        known[live] = total
         return total
 
     live = tuple(range(len(rows)))

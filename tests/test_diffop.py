@@ -644,7 +644,7 @@ def test_image_memo_never_leaks(data):
     assert [_exact(x) for x in conn.apply(v)] == [
         _exact(x) for x in Connection(conn.matrix).apply(v)
     ]
-    # extending the memo leaves a list handed out earlier as it was
+    # extending the memo leaves images handed out earlier as they were
     short = conn._images(u, 1)
     conn._images(u, n + 1)
     assert len(short) == 1

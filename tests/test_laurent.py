@@ -16,18 +16,6 @@ from critcenter.errors import (
 from critcenter.laurent import INFINITY, LaurentElement as L, scalar_from_str
 
 
-class UndeterminedResidueError(UndeterminedCoefficientError):
-    """The t^-1 coefficient is not determined by the stored precision."""
-
-
-def residue(f):
-    """The coefficient of t^-1."""
-    try:
-        return f.coefficient(-1)
-    except UndeterminedCoefficientError as exc:
-        raise UndeterminedResidueError(str(exc)) from exc
-
-
 def test_mul_polynomial_product():
     a = L({-1: 1, 0: 1})
     b = L.monomial(1)
@@ -67,19 +55,20 @@ def test_derivative_precision_drops():
 
 
 def test_residue_examples():
-    assert residue(L.monomial(-1)) == 1
-    assert residue(L({-2: 1, 0: 3})) == 0
+    # the residue is the coefficient of t^-1
+    assert L.monomial(-1).coefficient(-1) == 1
+    assert L({-2: 1, 0: 3}).coefficient(-1) == 0
     f = L.monomial(-1)
     g = L.monomial(1)
-    assert residue(f * g.derivative()) == 1
-    assert residue(f.derivative() * g) == -1
+    assert (f * g.derivative()).coefficient(-1) == 1
+    assert (f.derivative() * g).coefficient(-1) == -1
 
 
 def test_residue_undetermined():
-    with pytest.raises(UndeterminedResidueError):
-        residue(L({-3: 1}, precision=-1))
+    with pytest.raises(UndeterminedCoefficientError):
+        L({-3: 1}, precision=-1).coefficient(-1)
     # precision 0 still determines the t^-1 coefficient
-    assert residue(L({-1: 7}, precision=0)) == 7
+    assert L({-1: 7}, precision=0).coefficient(-1) == 7
 
 
 def test_valuation_examples():
@@ -173,7 +162,7 @@ def test_leibniz_rule(a, b):
 
 @given(elements, elements)
 def test_residue_integration_by_parts(f, g):
-    assert residue(f * g.derivative()) == -residue(f.derivative() * g)
+    assert (f * g.derivative()).coefficient(-1) == -(f.derivative() * g).coefficient(-1)
 
 
 def _geometric_invert(a, order):
