@@ -5,85 +5,43 @@ acts with their Fourier coefficients on induced root modules, verifies the
 vanishing thresholds that bound pole orders of compatible opers, and carries
 the oper / Miura / irregularity calculus on the differential-equation side.
 All arithmetic is exact over the rationals.
+
+``import critcenter`` loads no layer: a public name is imported from its
+layer on first access (PEP 562) and then kept in this namespace.
 """
 
-from .laurent import INFINITY, LaurentElement
-from .algebra import (
-    TAU,
-    AffineAlgebra,
-    Gen,
-    bracket,
-    killing_form,
-    tau_bracket,
-)
-from .pbw import CommPoly, NCPoly, hc_project, nc_normal_form, symbol
-from .sugawara import (
-    SSFamily,
-    cdet,
-    check_row_property,
-    ss_vectors,
-)
-from .diffop import (
-    Connection,
-    CyclicVector,
-    Oper,
-    connection_to_oper,
-    cyclic_vector_search,
-    irregularity,
-    miura,
-    newton_polygon_irregularity,
-    oper_to_connection,
-)
-from .modules import (
-    ModuleVector,
-    RootFunction,
-    RootModule,
-    conductor_irregularity_report,
-    root_fn_constant,
-    root_fn_km0,
-    root_fn_moy_prasad,
-    ss_operator_act,
-    state_is_central,
-    vanishing_report,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INFINITY",
-    "LaurentElement",
-    "TAU",
-    "AffineAlgebra",
-    "Gen",
-    "bracket",
-    "killing_form",
-    "tau_bracket",
-    "CommPoly",
-    "NCPoly",
-    "hc_project",
-    "nc_normal_form",
-    "symbol",
-    "SSFamily",
-    "cdet",
-    "check_row_property",
-    "ss_vectors",
-    "Connection",
-    "CyclicVector",
-    "Oper",
-    "connection_to_oper",
-    "cyclic_vector_search",
-    "irregularity",
-    "miura",
-    "newton_polygon_irregularity",
-    "oper_to_connection",
-    "ModuleVector",
-    "RootFunction",
-    "RootModule",
-    "conductor_irregularity_report",
-    "root_fn_constant",
-    "root_fn_km0",
-    "root_fn_moy_prasad",
-    "ss_operator_act",
-    "state_is_central",
-    "vanishing_report",
-]
+# Each public name, under the layer that defines it.
+_LAYERS = {
+    "laurent": ("INFINITY", "LaurentElement"),
+    "algebra": ("TAU", "AffineAlgebra", "Gen", "bracket", "killing_form", "tau_bracket"),
+    "pbw": ("NCPoly", "hc_project", "nc_normal_form"),
+    "sugawara": ("SSFamily", "cdet", "check_row_property", "ss_vectors"),
+    "diffop": (
+        "Connection", "CyclicVector", "Oper", "connection_to_oper",
+        "cyclic_vector_search", "irregularity", "miura",
+        "newton_polygon_irregularity", "oper_to_connection",
+    ),
+    "modules": (
+        "ModuleVector", "RootFunction", "RootModule", "conductor_irregularity_report",
+        "root_fn_constant", "root_fn_km0", "root_fn_moy_prasad", "ss_operator_act",
+        "state_is_central", "vanishing_report",
+    ),
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    # An unknown name raises AttributeError, so ``from critcenter import
+    # modules`` still falls through to the submodule import.
+    layer = _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value
+    return value

@@ -33,10 +33,6 @@ class Gen(NamedTuple):
     def __repr__(self):
         return f"e[{self.i},{self.j};{self.u}]"
 
-    @property
-    def is_diagonal(self):
-        return self.i == self.j
-
     def shifted(self, du):
         return Gen(self.i, self.j, self.u + du)
 

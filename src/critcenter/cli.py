@@ -4,6 +4,10 @@ Every run is deterministic: identical invocations produce byte-identical
 output.  Validation problems exit with code 2 and a structured error JSON on
 stderr, and a stdout closed by its reader exits 1 quietly; anything else
 nonzero signals an internal invariant violation.
+
+Each subcommand imports its own layers when it runs, so ``--help`` and
+``--version`` load no layer, ``ss``/``hc`` skip the oper side and the
+oper-side commands skip the algebra side.
 """
 
 from __future__ import annotations
@@ -12,29 +16,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .diffop import (
-    Connection,
-    Oper,
-    connection_to_oper,
-    cyclic_vector_search,
-    irregularity,
-    miura,
-)
 from .errors import CritCenterError, ValidationError
-from .laurent import LaurentElement, scalar_from_str
-from .modules import (
-    conductor_irregularity_report,
-    root_fn_constant,
-    root_fn_km0,
-    root_fn_moy_prasad,
-    ss_operator_act,
-    vanishing_report,
-)
-from .pbw import hc_project
-from .sugawara import ss_vectors
 
 CASES = ("congruence", "km0", "moyprasad")
 
@@ -72,6 +56,11 @@ def _emit(args, data, text):
 
 
 def _root_function(case, n, m, x=None, r=None):
+    from fractions import Fraction
+
+    from .lincomb import scalar_from_str
+    from .modules import root_fn_constant, root_fn_km0, root_fn_moy_prasad
+
     if case != "moyprasad" and (x is not None or r is not None):
         raise ValidationError(f"--x and --r apply to --case moyprasad only, not {case!r}")
     if case == "congruence":
@@ -89,6 +78,8 @@ def _root_function(case, n, m, x=None, r=None):
 
 
 def cmd_ss(args):
+    from .sugawara import ss_vectors
+
     family = ss_vectors(args.n)
 
     def text():
@@ -103,6 +94,9 @@ def cmd_ss(args):
 
 
 def cmd_hc(args):
+    from .pbw import hc_project
+    from .sugawara import ss_vectors
+
     family = ss_vectors(args.n)
     checks = [hc_project(s) == w for s, w in zip(family.S, family.omega)]
     data = {
@@ -123,6 +117,9 @@ def cmd_hc(args):
 
 
 def cmd_miura(args):
+    from .diffop import miura
+    from .laurent import LaurentElement
+
     payload = _load_payload(args)
     if isinstance(payload, dict) and "h" in payload:
         payload = payload["h"]
@@ -135,6 +132,8 @@ def cmd_miura(args):
 
 
 def cmd_irr(args):
+    from .diffop import Oper, irregularity
+
     chi = Oper.from_json(_load_payload(args))
     value = irregularity(chi)
     _emit(args, {"irregularity": value}, lambda: f"irregularity: {value}")
@@ -142,6 +141,8 @@ def cmd_irr(args):
 
 
 def cmd_cyclic(args):
+    from .diffop import Connection, cyclic_vector_search
+
     conn = Connection.from_json(_load_payload(args))
     found = cyclic_vector_search(conn, args.degree_bound)
     _emit(args, found.to_json(), lambda: (
@@ -153,6 +154,9 @@ def cmd_cyclic(args):
 
 
 def cmd_oper(args):
+    from .diffop import Connection, connection_to_oper, cyclic_vector_search
+    from .laurent import LaurentElement
+
     payload = _load_payload(args)
     if not isinstance(payload, dict) or "connection" not in payload:
         raise ValidationError("payload is {'connection': ..., 'vector': [...]}")
@@ -169,6 +173,8 @@ def cmd_oper(args):
 
 
 def cmd_act(args):
+    from .modules import ss_operator_act
+
     rf = _root_function(args.case, args.n, args.m, args.x, args.r)
     result = ss_operator_act(args.n, args.ell, args.N, rf)
     data = {
@@ -183,6 +189,8 @@ def cmd_act(args):
 
 
 def cmd_verify(args):
+    from .modules import vanishing_report
+
     rf = _root_function(args.case, args.n, args.m, args.x, args.r)
     report = vanishing_report(args.n, rf, scan_window=args.window)
 
@@ -204,6 +212,8 @@ def cmd_verify(args):
 
 
 def cmd_report(args):
+    from .modules import conductor_irregularity_report
+
     report = conductor_irregularity_report(args.n, args.m, scan_window=args.window)
     _emit(args, report, lambda: "\n".join([
         f"case {report['case']}",

@@ -1,8 +1,8 @@
 """Finite exact linear combinations of hashable keys.
 
-The sparse exact types (NC polynomials, module vectors, commutative symbols)
-are all a dict from a normal-form key to a nonzero scalar in canonical form:
-an int when integral, else a Fraction (``hash(3) == hash(Fraction(3))``, so
+The sparse exact types (NC polynomials, module vectors) are each a dict
+from a normal-form key to a nonzero scalar in canonical form: an int when
+integral, else a Fraction (``hash(3) == hash(Fraction(3))``, so
 equality and hashing cannot tell).  This module owns that representation:
 sums accumulate into one dict and delete the keys that cancel, so no table
 ever stores a zero and equality is dict equality.  It also owns their text

@@ -105,10 +105,6 @@ class NCPoly(LinComb):
     def tau(cls, algebra):
         return cls._adopt(algebra, {(1, ()): 1})
 
-    @classmethod
-    def from_word(cls, algebra, word, coeff=1, tau_power=0):
-        return cls(algebra, {(tau_power, tuple(word)): coeff})
-
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, tau_power, word):
@@ -252,58 +248,3 @@ def hc_project(p):
             raise DomainError("projection undefined: nonnegative-degree factor")
         _accumulate(table, _project_word(p.algebra, word), c)
     return NCPoly._adopt(p.algebra, table)
-
-
-class CommPoly(LinComb):
-    """Commutative polynomial in graded symbols (i, j, u).
-
-    Used for associated-graded computations: monomials are sorted tuples of
-    symbols, so equality is syntactic.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _key(mono):
-        return tuple(sorted(mono))
-
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
-
-    @classmethod
-    def symbol(cls, i, j, u):
-        return cls({((i, j, u),): 1})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return CommPoly(
-            (m1 + m2, c1 * c2)
-            for m1, c1 in self._terms.items()
-            for m2, c2 in other._terms.items()
-        )
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _tokens(mono):
-        return [f"x[{i},{j};{u}]" for (i, j, u) in mono]
-
-
-def symbol(p):
-    """Top filtration-degree part of p as a commutative polynomial.
-
-    The filtration degree of a monomial is its number of generator factors;
-    tau is not allowed.
-    """
-    top = 0
-    for (k, word) in p._terms:
-        if k:
-            raise DomainError("symbol undefined: monomial contains tau")
-        top = max(top, len(word))
-    return CommPoly(
-        ([(g.i, g.j, g.u) for g in word], c)
-        for (_k, word), c in p._terms.items()
-        if len(word) == top
-    )

@@ -50,7 +50,7 @@ from math import comb, factorial
 from .algebra import AffineAlgebra, Gen
 from .errors import ValidationError
 from .lincomb import _accumulate
-from .pbw import CommPoly, NCPoly
+from .pbw import NCPoly
 
 
 def _perm_sign(perm):
@@ -215,20 +215,3 @@ def check_row_property(S, n):
         if bottom > 1:
             return False, word
     return True, None
-
-
-def commutative_char_poly_coefficients(n):
-    """Coefficients of det(lambda Id + X) as commutative polynomials.
-
-    The entry symbols are the graded images x[i,j;-1]; coefficient l (of
-    lambda^{n-l}) is the sum of the principal l x l minors.  Used as the
-    independent reference for the top symbols of the S_l.
-    """
-    return [
-        CommPoly(
-            ([(rows[r], rows[perm[r]], -1) for r in range(ell)], _perm_sign(perm))
-            for rows in combinations(range(1, n + 1), ell)
-            for perm in permutations(range(ell))
-        )
-        for ell in range(1, n + 1)
-    ]

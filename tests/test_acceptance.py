@@ -38,13 +38,9 @@ from critcenter.modules import (
     ss_operator_act,
     vanishing_report,
 )
-from critcenter.pbw import NCPoly, hc_project, symbol
-from critcenter.sugawara import (
-    check_row_property,
-    commutative_char_poly_coefficients,
-    ss_vectors,
-)
-from oracles import lemma_relations_bound
+from critcenter.pbw import NCPoly, hc_project
+from critcenter.sugawara import check_row_property, ss_vectors
+from oracles import commutative_char_poly_coefficients, lemma_relations_bound, symbol
 
 V0 = ModuleVector.vacuum()
 

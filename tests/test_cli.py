@@ -319,6 +319,57 @@ def test_cli_import_skips_thread_pool_and_logging():
     assert proc.stdout.strip() == "[]"
 
 
+_PARSER = {"critcenter", "critcenter.cli", "critcenter.errors"}
+_ALGEBRA = _PARSER | {f"critcenter.{m}" for m in ("algebra", "lincomb", "pbw", "sugawara")}
+_OPER = _PARSER | {f"critcenter.{m}" for m in ("laurent", "lincomb", "diffop")}
+_EVERY = _ALGEBRA | _OPER | {"critcenter.modules"}
+_IRR = '{"rank":1,"a":[{"terms":[[-2,"1"]]}]}'
+_CONN = '{"rank":1,"matrix":[[{"terms":[[-2,"1"]]}]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param(argv, expected, id=" ".join(argv[:2]) if "--help" in argv else argv[0])
+        for argv, expected in [
+            (["--version"], _PARSER),
+            (["--help"], _PARSER),
+            (["ss", "--help"], _PARSER),
+            (["ss", "--n", "2"], _ALGEBRA),
+            (["hc", "--n", "2", "--json"], _ALGEBRA),
+            (["miura", "--data", '[{"terms":[[-1,"1"]]}]'], _OPER),
+            (["irr", "--data", _IRR], _OPER),
+            (["cyclic", "--data", _CONN], _OPER),
+            (["oper", "--data", '{"connection":%s}' % _CONN], _OPER),
+            (["act", "--case", "km0", "--n", "2", "--ell", "1", "--N", "0"], _EVERY),
+            (["verify", "--case", "km0", "--n", "2"], _EVERY),
+            (["report", "--n", "2", "--m", "1"], _EVERY),
+        ]
+    ],
+)
+def test_each_subcommand_loads_only_its_layers(argv, expected):
+    # The console script's own path: `critcenter.cli:main` in a fresh
+    # interpreter, which reports the critcenter modules it loaded at exit.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from critcenter.cli import main\n"
+        "try:\n"
+        "    main()\n"
+        "finally:\n"
+        "    print(*sorted(m for m in sys.modules if m.split('.')[0] == 'critcenter'),"
+        " file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stderr.split()) == expected
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 @pytest.mark.parametrize(
     "argv",

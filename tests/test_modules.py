@@ -28,7 +28,7 @@ from critcenter.modules import (
 )
 from critcenter.pbw import NCPoly
 from critcenter.sugawara import ss_nodes, ss_vectors
-from oracles import lemma_relations_bound, vacuum_module
+from oracles import from_word, lemma_relations_bound, vacuum_module
 
 V0 = ModuleVector.vacuum()
 
@@ -435,7 +435,7 @@ def test_generator_centrality_matches_full_sweep():
         for s in ss_vectors(n).S:
             assert state_is_central(s, n) and _central_by_full_sweep(s, n), (n, s)
     alg1 = ss_vectors(1).S[0].algebra
-    heisenberg = NCPoly.from_word(alg1, (Gen(1, 1, -2), Gen(1, 1, -1)), 3)
+    heisenberg = from_word(alg1, (Gen(1, 1, -2), Gen(1, 1, -1)), 3)
     assert state_is_central(heisenberg, 1) and _central_by_full_sweep(heisenberg, 1)
 
     alg2, alg3 = ss_vectors(2).S[0].algebra, ss_vectors(3).S[0].algebra
@@ -450,9 +450,9 @@ def test_generator_centrality_matches_full_sweep():
     )
     non_central = [
         (_reordered_quadratic_variant(), 2),
-        (NCPoly.from_word(alg2, (Gen(1, 2, -1),)), 2),
-        (NCPoly.from_word(alg3, (Gen(1, 2, -1),)), 3),
-        (ss_vectors(3).S[1] + NCPoly.from_word(alg3, (Gen(1, 2, -2),)), 3),
+        (from_word(alg2, (Gen(1, 2, -1),)), 2),
+        (from_word(alg3, (Gen(1, 2, -1),)), 3),
+        (ss_vectors(3).S[1] + from_word(alg3, (Gen(1, 2, -2),)), 3),
         (trace_square, 3),
     ]
     for state, n in non_central:
@@ -522,7 +522,7 @@ def _centrality_cases(draw):
         coeff = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
         alg = AffineAlgebra(n)
         mutant = NCPoly(alg, {(0, w): c for w, c in terms.items()})
-        terms = (mutant + NCPoly.from_word(alg, word, coeff)).words()
+        terms = (mutant + from_word(alg, word, coeff)).words()
     return terms, n
 
 
@@ -547,7 +547,7 @@ def test_centrality_matches_vacuum_module_oracle(case):
     for form in (critical, dict(terms), ModuleVector(terms), unsorted):
         assert state_is_central(form, n) == expected, (n, form)
     for word in terms:
-        single = NCPoly.from_word(alg, word)
+        single = from_word(alg, word)
         assert state_is_central(word, n) == _central_in_vacuum_module(single, n), word
     # state_is_central checks only the conjunction, which a derivation using
     # one generator's brackets for another could pass: check each alone.

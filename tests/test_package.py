@@ -1,13 +1,22 @@
 """The public surface of the package."""
 
+import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import critcenter
-from critcenter import algebra, errors
-from critcenter.algebra import AffineAlgebra
+from critcenter import algebra, errors, pbw, sugawara
+from critcenter.algebra import AffineAlgebra, Gen
 from critcenter.laurent import LaurentElement
 from critcenter.modules import RootModule
 from critcenter.pbw import NCPoly
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_public_surface_resolves_and_holds_no_test_oracles():
@@ -17,8 +26,13 @@ def test_public_surface_resolves_and_holds_no_test_oracles():
     assert set(critcenter.__all__) <= set(namespace)
     # Test-only oracles live under tests/, and the dead names are gone.
     for name in ("vacuum_module", "cartan_evaluate", "central_character", "Scalar",
-                 "CENTRAL", "lemma_relations_bound"):
+                 "CENTRAL", "lemma_relations_bound", "CommPoly", "symbol",
+                 "commutative_char_poly_coefficients"):
         assert not hasattr(critcenter, name), name
+    for layer, name in ((pbw, "CommPoly"), (pbw, "symbol"),
+                        (sugawara, "commutative_char_poly_coefficients"),
+                        (Gen, "is_diagonal"), (NCPoly, "from_word")):
+        assert not hasattr(layer, name), name
     assert not hasattr(RootModule, "act_poly")
     assert not hasattr(LaurentElement, "residue")
     assert not hasattr(errors, "UndeterminedResidueError")
@@ -43,3 +57,43 @@ def test_level_is_a_constant():
     assert params(RootModule) == ["rf"]
     assert params(algebra.bracket) == ["a", "b", "n"]
     assert "_normal" not in params(NCPoly)
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    for name in critcenter.__all__:
+        home = importlib.import_module(f"critcenter.{critcenter._HOME[name]}")
+        value = getattr(critcenter, name)
+        assert value is getattr(home, name), name
+        # the table names the defining layer, not one that re-exports
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        critcenter.no_such_name
+    with pytest.raises(ImportError):
+        from critcenter import no_such_name  # noqa: F401
+
+
+def _fresh(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_import_loads_no_layer_until_a_name_is_used():
+    loaded = "print(*sorted(m for m in sys.modules if m.startswith('critcenter')))"
+    assert _fresh(f"import sys, critcenter; {loaded}") == ["critcenter"]
+    # a name loads its layer and the layers that one imports, nothing else
+    assert _fresh(f"import sys, critcenter; critcenter.Oper; {loaded}") == [
+        "critcenter", "critcenter.diffop", "critcenter.errors", "critcenter.laurent",
+        "critcenter.lincomb",
+    ]
+    # an unknown name falls through to the submodule import
+    assert _fresh(f"import sys; from critcenter import errors; {loaded}") == [
+        "critcenter", "critcenter.errors",
+    ]
