@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _LAYERS = {
     "laurent": ("INFINITY", "LaurentElement"),
     "algebra": ("TAU", "AffineAlgebra", "Gen", "bracket", "killing_form", "tau_bracket"),
-    "pbw": ("NCPoly", "hc_project", "nc_normal_form"),
+    "pbw": ("NCPoly", "hc_project"),
     "sugawara": ("SSFamily", "cdet", "check_row_property", "ss_vectors"),
     "diffop": (
         "Connection", "CyclicVector", "Oper", "connection_to_oper",

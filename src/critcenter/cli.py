@@ -33,7 +33,7 @@ def _load_payload(args):
             try:
                 with open(args.infile, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ValidationError(f"cannot read {args.infile}: {exc}") from exc
     else:
         text = sys.stdin.read()
@@ -56,9 +56,6 @@ def _emit(args, data, text):
 
 
 def _root_function(case, n, m, x=None, r=None):
-    from fractions import Fraction
-
-    from .lincomb import scalar_from_str
     from .modules import root_fn_constant, root_fn_km0, root_fn_moy_prasad
 
     if case != "moyprasad" and (x is not None or r is not None):
@@ -68,12 +65,8 @@ def _root_function(case, n, m, x=None, r=None):
     if case == "km0":
         return root_fn_km0(n, m)
     if case == "moyprasad":
-        if x is None:
-            point = [Fraction(0)] * n
-        else:
-            point = [scalar_from_str(part) for part in str(x).split(",")]
-        depth = scalar_from_str(r) if r is not None else Fraction(m - 1)
-        return root_fn_moy_prasad(n, point, depth)
+        point = [0] * n if x is None else x.split(",")
+        return root_fn_moy_prasad(n, point, m - 1 if r is None else r)
     raise ValidationError(f"unknown case {case!r}; pick one of {CASES}")
 
 

@@ -147,11 +147,12 @@ class Connection:
         return len(self.matrix)
 
     def apply(self, vector):
-        """D(v) = v' + A v, componentwise exact."""
-        return list(self._images(vector, 2, scaled=False)[1])
+        """D(v) = v' + A v, componentwise exact: W_1 scaled by 1/L."""
+        scale = Fraction(1, self.denominator)
+        return [w.scale(scale) for w in self._images(vector, 2)[1]]
 
-    def _images(self, vector, count, scaled=True):
-        """The first ``count`` images W_k = L^k D^k v, or D^k v if not scaled.
+    def _images(self, vector, count):
+        """The first ``count`` images W_k = L^k D^k v.
 
         Each step is W_{k+1} = L W_k' + (L A) W_k, one ``LaurentElement.dot``
         per row, and it is D(v) = v' + A v when L = 1.  By induction W_k is
@@ -159,8 +160,8 @@ class Connection:
         moves no lower bound, no precision and no exact zero, the tracked
         precision of W_k is that of D^k v.
 
-        The images of the last vector asked about (keyed on its components
-        and ``scaled``) are kept and extended when more are asked for, so
+        The images of the last vector asked about (keyed on its components)
+        are kept and extended when more are asked for, so
         ``connection_to_oper`` on the vector ``cyclic_vector_search`` found
         computes only W_n.  Images and their rows are tuples, and an
         extension builds a new tuple, so nothing handed out ever changes.
@@ -169,16 +170,17 @@ class Connection:
             raise DimensionMismatchError(
                 f"vector of length {len(vector)} against rank {self.rank}"
             )
-        key = (tuple(vector), scaled)
+        key = tuple(vector)
         last_key, images = self._last
         if last_key != key:
-            images = (key[0],)
-        matrix, scale = (self.integral, self.denominator) if scaled else (self.matrix, 1)
+            images = (key,)
         while len(images) < count:
             w = images[-1]
             images += (tuple(
-                LaurentElement.dot(zip(row, w), entry.derivative().scale(scale))
-                for row, entry in zip(matrix, w)
+                LaurentElement.dot(
+                    zip(row, w), entry.derivative().scale(self.denominator)
+                )
+                for row, entry in zip(self.integral, w)
             ),)
         self._last = (key, images)
         return images[:count]

@@ -344,10 +344,9 @@ class LaurentElement:
     def __hash__(self):
         return hash((tuple(sorted(self._coeff.items())), self.precision))
 
-    def agrees_with(self, other, upto=None):
-        """Equality of all coefficients determined on both sides (below upto)."""
+    def agrees_with(self, other):
+        """Equality of all coefficients determined on both sides."""
         bound = _min_prec(self.precision, other.precision)
-        bound = _min_prec(bound, upto)
         exps = set(self._coeff) | set(other._coeff)
         for k in exps:
             if bound is not None and k >= bound:

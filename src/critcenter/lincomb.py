@@ -32,8 +32,13 @@ def canonical(value):
 
 
 def scalar_from_str(text):
-    """Parse "num/den" (or a bare integer string) into a Fraction."""
+    """Parse "num/den" (or a bare integer string) into a Fraction.
+
+    Exponent notation is refused: "1e999999999" would build 10**999999999.
+    """
     try:
+        if "e" in str(text).lower():
+            raise ValueError("exponent notation")
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"not a rational number: {text!r}") from exc

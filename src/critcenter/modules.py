@@ -50,8 +50,10 @@ and ()_(-1) is the identity.  Hence the degree cut:
 
     word_(s) mono = 0 for s >= -D - d,   and   x[p - m] mono = 0 for p - m > -d.
 
-The scan uses the cut only to skip work: it truncates both sums and the
-scan's starting cell, while the bounds it reports stay the depth bounds.
+Both rules meet in ``RootModule._zero_from``, which every truncation reads:
+the recursion neither expands nor caches a monomial at or past it, and both
+sums and the scan stop below it.  The bounds the module reports
+(``annihilation_bound``, the scan's ``certified_from``) stay the depth bounds.
 """
 
 from __future__ import annotations
@@ -427,12 +429,23 @@ class RootModule:
         node with W = 0 reaches () through tau terms only: it is a multiple
         of the vacuum, of degree 0, and acts only at s = -1.
         """
-        if vec.is_zero() or not word:
-            return 0  # the vacuum field is the identity: only s = -1 acts
+        return max((self._depth_rule(word, mono) for mono in vec._terms), default=0)
+
+    def _depth_rule(self, word, mono):
+        """W(word) - 1 + shift(mono) + slack; 0 for a vacuum field (W = 0), acting at -1."""
         depth = self._depth(word)
-        if not depth:
-            return 0
-        return depth - 1 + self.creation_shift(vec) + self._lemma_slack
+        return depth and depth - 1 + max(0, self._depth(mono)) + self._lemma_slack
+
+    def _zero_from(self, word, mono):
+        """The least N with word_(s) mono = 0 certified for all s >= N.
+
+        The depth bound, or under the degree cut (module docstring) the
+        smaller of it and -deg(word) - deg(mono).
+        """
+        bound = self._depth_rule(word, mono)
+        if self._degree_cut:
+            return min(bound, -self._degree(word) - self._degree(mono))
+        return bound
 
     def annihilation_bound(self, state, vec):
         """Certified N with state_(s) vec = 0 for all s >= N."""
@@ -463,20 +476,19 @@ class RootModule:
         coefficients: exact by linearity, and each expansion is truncated by
         its own monomial's certified bounds.
 
-        Under the degree cut (module docstring) a monomial of degree
-        d >= -D - s gives 0; it is skipped, neither expanded nor cached.
+        A monomial with s >= ``_zero_from(word, monomial)`` gives 0; it is
+        skipped, neither expanded nor cached.
         """
         if not word:
             return vec if s == -1 else ModuleVector.zero()
-        top = -self._degree(word) - s if self._degree_cut else None
         cache = self._fourier_cache
         total = {}
         for mono, c in vec._terms.items():
-            if top is not None and self._degree(mono) >= top:
-                continue
             key = (word, s, mono)
             table = cache.get(key)
             if table is None:
+                if s >= self._zero_from(word, mono):
+                    continue
                 table = cache[key] = self._fourier_expand(word, s, mono)
             _accumulate(total, table, c)
         return ModuleVector._adopt(total)
@@ -489,7 +501,6 @@ class RootModule:
         word is the one-term state (1, word[0], word[1:]).
         """
         vec = ModuleVector._adopt({mono: 1})
-        d = self._degree(mono) if self._degree_cut else None
         terms = word.terms if type(word) is MinorNode else ((1, word[0], word[1:]),)
         total = {}
         for coef, head, tail in terms:
@@ -498,10 +509,7 @@ class RootModule:
                 continue
             m = -head.u - 1
             # creation side: p <= -1, head mode p - m applied after the tail field
-            bound = self.word_annihilation_bound(tail, vec)
-            if d is not None:
-                bound = min(bound, -self._degree(tail) - d)
-            for p in range(s - bound, 0):
+            for p in range(s - self._zero_from(tail, mono), 0):
                 inner = self._fourier_word(tail, s - p - 1, vec)
                 if inner.is_zero():
                     continue
@@ -516,25 +524,22 @@ class RootModule:
     def _moves(self, head, mono):
         """The annihilation side of head's field on mono, as (p, c_p, x[p - m].mono).
 
-        These are the modes x[p - m] for m <= p < m + J (the binomial
-        vanishes below m) that do not kill the unit monomial ``mono``, where
-        J is the certified bound r(head) + shift(mono) + slack: x[u] mono = 0
-        for all u >= J, with shift from ``creation_shift`` and slack
-        ``_lemma_slack``.  Under the degree cut, x[p - m] kills mono once
-        p - m > -d, so J drops to 1 - d where that is smaller.  The moves
-        depend on neither s nor the rest of the state, so they are cached
-        under ``(head, mono)``.
+        These are the modes x[p - m] for m <= p < ``_zero_from((head,), mono)``
+        (the binomial vanishes below m) that do not kill the unit monomial
+        ``mono``.  The field of the one-factor word (head,) is
+        (head,)_(p) = c_p x[p - m], with c_p nonzero for p >= m, so its rule
+        bounds the moves: the depth part is m + r(head) + shift(mono) + slack,
+        as W((head,)) = r(head) + m + 1, and the cut m + 1 - deg(mono).  The
+        moves depend on neither s nor the rest of the state, so they are
+        cached under ``(head, mono)``.
         """
         hit = self._move_cache.get((head, mono))
         if hit is not None:
             return hit
         vec = ModuleVector._adopt({mono: 1})
         m = -head.u - 1
-        top = self.rf(head.i, head.j) + self.creation_shift(vec) + self._lemma_slack
-        if self._degree_cut:
-            top = min(top, 1 - self._degree(mono))
         moves = []
-        for p in range(m, m + top):
+        for p in range(m, self._zero_from((head,), mono)):
             mode, c = _field_mode(head, m, p)
             moved = self.act(mode, vec)
             if not moved.is_zero():
@@ -706,40 +711,16 @@ def vanishing_report(n, rf, scan_window=3):
       +-1 from a principal l-minor, and depth at least the path word's,
       because r >= 0.  So some straightened word has depth >= W.
 
-    When every r(i, j) <= 1, the scan of S_l starts below min(hi, l) instead:
-    S_l has degree -l, so S_l,(N) v_0 = 0 for N >= l by the degree cut
-    (module docstring), and the cells in between are not computed.
-    ``certified_from`` stays the depth bound W - 1 + slack.
+    The scan of S_l starts below ``RootModule._zero_from(node, ())``, so it
+    skips only certified zeros of [thr - window, max(thr, certified_from)):
+    the depth bound, or l under the degree cut (S_l has degree -l).
     """
     if rf.n != n:
         raise ValidationError("root function rank does not match n")
     if scan_window < 0:
         raise ValidationError(f"scan window must be nonnegative, got {scan_window}")
-    nodes = ss_nodes(n)
     mod = RootModule(rf)
     vacuum = ModuleVector.vacuum()
-
-    rows = []
-    for ell in range(1, n + 1):
-        thr = rf.threshold(ell)
-        certified = mod.annihilation_bound(nodes[ell - 1], vacuum)
-        if thr is None:
-            thr = certified
-        hi = max(certified, thr)  # explicit checks cover [thr - window, hi)
-        rows.append((ell, thr, certified, thr - scan_window, hi))
-
-    def scan(row):
-        ell, _thr, _certified, lo, hi = row
-        if mod._degree_cut:
-            hi = min(hi, -mod._degree(nodes[ell - 1]))  # v_0 has degree 0
-        for N in range(hi - 1, lo - 1, -1):
-            value = mod.fourier_act(nodes[ell - 1], N, vacuum)
-            if not value.is_zero():
-                return N, value
-        return None, None
-
-    found = [scan(row) for row in rows]  # in-line: a pool only takes turns under the GIL
-
     report = {
         "case": rf.describe(),
         "n": n,
@@ -751,7 +732,18 @@ def vanishing_report(n, rf, scan_window=3):
         "witnesses": [],
         "witness_N": [],
     }
-    for (ell, thr, certified, lo, hi), (largest_bad, witness) in zip(rows, found):
+    for ell, node in enumerate(ss_nodes(n), start=1):
+        certified = mod.annihilation_bound(node, vacuum)
+        thr = rf.threshold(ell)
+        if thr is None:
+            thr = certified
+        lo = thr - scan_window
+        largest_bad = witness = None
+        for N in range(mod._zero_from(node, ()) - 1, lo - 1, -1):
+            value = mod.fourier_act(node, N, vacuum)
+            if not value.is_zero():
+                largest_bad, witness = N, value
+                break
         report["thresholds_theoretical"].append(thr)
         report["certified_from"].append(certified)
         report["verified"].append(largest_bad is None or largest_bad < thr)

@@ -170,19 +170,8 @@ class NCPoly(LinComb):
 
     @classmethod
     def from_json(cls, algebra, data):
-        return nc_normal_form(algebra, cls._terms_from_json(data, word_from_tokens))
-
-
-def nc_normal_form(algebra, raw):
-    """Normal-form a raw expression: iterable of (coeff, token word) pairs.
-
-    Tokens are Gen or TAU.  Mainly a convenience wrapper around the NCPoly
-    constructor for tests and callers holding unstructured words.
-    """
-    table = {}
-    for coeff, word in raw:
-        _accumulate(table, _straighten(algebra, tuple(word)), canonical(coeff))
-    return NCPoly._adopt(algebra, table)
+        terms = cls._terms_from_json(data, word_from_tokens)
+        return cls(algebra, [((0, word), c) for c, word in terms])
 
 
 def _project_word(algebra, word):

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,30 @@ def test_missing_file_is_validation_error(capsys):
     code, _out, err = _run(capsys, "irr", "--in", "/nonexistent/path.json")
     assert code == 2
     assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_undecodable_file_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, out, err = _run(capsys, "irr", "--in", str(bad))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("coeff", ["1e10000000", "2E-1"])
+def test_exponent_notation_is_refused_at_once(capsys, coeff):
+    # Fraction would build 10**exponent: "1e10000000" took seconds to parse,
+    # and "1e999999999" never finished.
+    payload = json.dumps({"a": [{"terms": [[0, coeff]]}]})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "irr", "--json", "--data", payload)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "ValidationError", "message": f"not a rational number: {coeff!r}",
+    }
 
 
 @pytest.mark.parametrize(

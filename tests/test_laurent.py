@@ -127,7 +127,7 @@ def test_json_round_trip():
 
 def test_scalar_parse_errors_are_validation_errors():
     assert scalar_from_str(" -3/4") == Fraction(-3, 4)
-    for text in ("a", "1/0", "", None):
+    for text in ("a", "1/0", "", None, "1e2", "2E-1"):
         with pytest.raises(ValidationError):
             scalar_from_str(text)
 

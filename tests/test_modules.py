@@ -793,17 +793,23 @@ def test_downward_scan_matches_full_grid():
 def test_minor_table_modes_match_straightened_oracle():
     # Every scanned cell read from the minor table equals the straightened
     # S_l's Fourier mode.  Both run on one module, so a node cache entry that
-    # collided with a word's would be read back by the other side.
+    # collided with a word's would be read back by the other side.  Depths 2
+    # and 3 (km0 m = 2, 3, congruence m = 2, Moy-Prasad r = 3/2) have no
+    # degree cut, so the depth rule alone truncates there.
     cases = [
         (n, rf)
         for n in (1, 2, 3, 4)
         for rf in (
-            root_fn_km0(n, 1), root_fn_km0(n, 2),
+            root_fn_km0(n, 1), root_fn_km0(n, 2), root_fn_km0(n, 3),
             root_fn_constant(n, 1), root_fn_constant(n, 2),
         )
     ]
     cases += [
         (n, root_fn_moy_prasad(n, [Fraction(1, 2)] + [0] * (n - 1), 0)) for n in (2, 3, 4)
+    ]
+    cases += [
+        (n, root_fn_moy_prasad(n, [Fraction(k, n) for k in range(n)], Fraction(3, 2)))
+        for n in (2, 3, 4)
     ]
     cases.append((5, root_fn_km0(5, 1)))
     cells = nonzero = 0
@@ -824,6 +830,9 @@ def test_minor_table_modes_match_straightened_oracle():
             assert mod.fourier_act(S, top, V0).is_zero()
             assert mod.fourier_act(node, top, V0).is_zero()
             assert mod.fourier_act(node, top - 1, V0) == mod.fourier_act(S, top - 1, V0)
+        # no table the rule proves empty was expanded, for nodes and words alike
+        for word, s, mono in mod._fourier_cache:
+            assert s < mod._zero_from(word, mono), (rf.describe(), s, mono)
     assert cells > 200 and 0 < nonzero < cells
 
 

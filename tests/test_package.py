@@ -27,9 +27,9 @@ def test_public_surface_resolves_and_holds_no_test_oracles():
     # Test-only oracles live under tests/, and the dead names are gone.
     for name in ("vacuum_module", "cartan_evaluate", "central_character", "Scalar",
                  "CENTRAL", "lemma_relations_bound", "CommPoly", "symbol",
-                 "commutative_char_poly_coefficients"):
+                 "commutative_char_poly_coefficients", "nc_normal_form"):
         assert not hasattr(critcenter, name), name
-    for layer, name in ((pbw, "CommPoly"), (pbw, "symbol"),
+    for layer, name in ((pbw, "CommPoly"), (pbw, "symbol"), (pbw, "nc_normal_form"),
                         (sugawara, "commutative_char_poly_coefficients"),
                         (Gen, "is_diagonal"), (NCPoly, "from_word")):
         assert not hasattr(layer, name), name

@@ -11,7 +11,7 @@ from critcenter.algebra import TAU, AffineAlgebra, Gen, bracket, gen_sort_key
 from critcenter.errors import DomainError, ValidationError
 from critcenter.modules import ModuleVector, RootModule, root_fn_km0
 from critcenter.lincomb import _accumulate
-from critcenter.pbw import NCPoly, _project_word, hc_project, nc_normal_form
+from critcenter.pbw import NCPoly, _project_word, hc_project
 from critcenter.sugawara import ss_vectors
 from oracles import CommPoly, from_word, symbol
 
@@ -21,7 +21,7 @@ def _alg(n=2):
 
 
 def _word_poly(alg, *tokens):
-    return nc_normal_form(alg, [(1, tokens)])
+    return NCPoly(alg, [((0, tokens), 1)])
 
 
 def test_tau_straightening_matches_derivation_rule():
@@ -123,7 +123,7 @@ def test_confluence_of_straightening():
                         Gen(rng.randint(1, n), rng.randint(1, n), rng.randint(-3, 3))
                     )
             word = tuple(word)
-            left = nc_normal_form(alg, [(1, word)])
+            left = NCPoly(alg, [((0, word), 1)])
             right = _straighten_rightmost(alg, word)
             assert left == NCPoly(alg, right)
 
@@ -338,7 +338,7 @@ def test_json_word_is_a_product_read_left_to_right():
     )
     # "tau^k" is k tau factors where it stands, and "one" is skipped
     data = [{"coeff": "-2/3", "word": ["tau^2", "one", "e[1,1;-1]", "tau"]}]
-    expected = nc_normal_form(alg, [(Fraction(-2, 3), (TAU, TAU, x, TAU))])
+    expected = NCPoly(alg, [((0, (TAU, TAU, x, TAU)), Fraction(-2, 3))])
     assert NCPoly.from_json(alg, data) == expected
     for bad in ("tau^", "tau^-1", "tau^x"):
         with pytest.raises(ValidationError):
@@ -414,7 +414,7 @@ def test_fraction_coefficients_stay_exact():
 
     alg = AffineAlgebra(2)
     c = Fraction(2, 3)
-    p = nc_normal_form(alg, [(c, (x, y))])
+    p = NCPoly(alg, [((0, (x, y)), c)])
     expected = {(y, x): c, (Gen(1, 1, 0),): c, (Gen(2, 2, 0),): -c, (): -2 * c}
     assert p == NCPoly(alg, {(0, w): v for w, v in expected.items()})
     _assert_canonical(p)
