@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import (
     CyclicVectorNotFoundError,
@@ -239,14 +239,19 @@ def _cofactor_minors(rows, orders):
     big-int multiply per cofactor product.  Entry a_rc is packed as
     t^(-s_c) a_rc at t = 2^B, s_c the least exponent in column c, so the
     minor over the columns C packs as t^(-sum_{c in C} s_c) times itself;
-    evaluation is a ring map, so the int arithmetic is exact.  With
-    N_c = sum_r ||a_rc||_1 and M = prod_c max(1, N_c), a minor over C (and
-    each partial sum of its expansion) has 1-norm at most
-    prod_{c in C} max(1, N_c) <= M, by induction on |C| and
-    ||pq||_1 <= ||p||_1 ||q||_1.  So with B = M.bit_length() + 1 every
-    coefficient lies below 2^(B-1) in absolute value, its balanced
-    base-2^B digits are unique, and a finished minor is decoded once per
-    order (``_unpack``); a packed entry is 0 exactly when the entry is.
+    evaluation is a ring map, so the int arithmetic is exact.  The width
+    comes from Hadamard's bound.  On |t| = 1 each coefficient of a Laurent
+    polynomial is at most the largest absolute value it takes there (the
+    coefficient is its mean against t^-k), and |a_rc(t)| <= ||a_rc||_1.
+    Hadamard bounds |det| by the product of its column 2-norms, so with
+    P_c = sum_r ||a_rc||_1^2 a minor over C, on any of the rows, has every
+    coefficient at most sqrt(prod_{c in C} P_c) <= M = isqrt(prod_c
+    max(1, P_c)) + 1.  A partial sum of a first-column expansion is the
+    determinant with some first-column entries set to 0, so the same bound
+    covers it.  With B = M.bit_length() + 1 every coefficient lies below
+    2^(B-1) in absolute value, its balanced base-2^B digits are unique, and
+    a finished minor is decoded once per order (``_unpack``); a packed
+    entry is 0 exactly when the entry is.
     An entry with a precision or a Fraction coefficient keeps the whole
     table in LaurentElement arithmetic and its precision rules.
     """
@@ -258,8 +263,8 @@ def _cofactor_minors(rows, orders):
         shifts = [min((k for e in col for k in e._coeff), default=0) for col in columns]
         bound = 1
         for col in columns:
-            bound *= max(1, sum(abs(c) for e in col for c in e._coeff.values()))
-        width = bound.bit_length() + 1
+            bound *= max(1, sum(sum(map(abs, e._coeff.values())) ** 2 for e in col))
+        width = (isqrt(bound) + 1).bit_length() + 1
         table = [[sum(c << width * (k - s) for k, c in e._coeff.items())
                   for e, s in zip(row, shifts)] for row in rows]
         zero = 0
@@ -408,8 +413,10 @@ def connection_to_oper(conn, vector, working_precision=None):
         a_idx = num / det = (num_W / L^(idx+1)) / det_W,
 
     and as scaling moves no lower bound, precision or exact zero, a_idx is
-    ``num * det.invert(order)`` in every coefficient and in its precision;
-    ``LaurentElement.divide`` computes it.  A single-monomial determinant
+    ``num * det.invert(order)`` in every coefficient and in its precision.
+    ``LaurentElement.divide`` computes num_W / det_W, and the factor
+    1 / L^(idx+1) goes into the denominator of each quotient coefficient's
+    one Fraction, so num_W is never scaled.  A single-monomial determinant
     divides exactly, so companion systems round-trip with no precision loss.
     """
     components = vector.components if isinstance(vector, CyclicVector) else vector
@@ -430,7 +437,7 @@ def connection_to_oper(conn, vector, working_precision=None):
 
     order = working_precision if working_precision is not None else 4 * n + 8
     return Oper(
-        numerator.scale(Fraction(1, conn.denominator ** (idx + 1))).divide(det, order)
+        numerator._divide(det, order, conn.denominator ** (idx + 1))
         for idx, numerator in enumerate(numerators)
     )
 

@@ -18,7 +18,16 @@ one-pair case.
 
 Series division ``a.divide(d, order)`` is ``a * d.invert(order)`` computed
 by a fraction-free recurrence in ints, one Fraction per quotient
-coefficient; ``invert`` is the quotient of one by the element.
+coefficient; ``invert`` is the quotient of one by the element.  With d
+scaled to ints c_j and a to ints s_k, the recurrence
+
+    Q_k = c_0^k s_k - sum_{j=1..k} c_j c_0^(j-1) Q_{k-j}
+
+takes its sum in Horner form, (((c_J Q_(k-J)) c_0 + c_(J-1) Q_(k-J+1)) c_0
++ ...) c_0 + c_1 Q_(k-1), so every product is a small int times a large
+one.  The private ``_divide`` also divides the quotient by a positive int,
+for oper extraction's Cramer factor: that int joins the denominator of each
+coefficient's one Fraction, so the dividend is never scaled.
 """
 
 from __future__ import annotations
@@ -284,6 +293,26 @@ class LaurentElement:
             Q_k = c_0^k s_k - sum_{j=1..k} c_j c_0^(j-1) Q_{k-j},
 
         and q_k = Q_k D / (c_0^(k+1) S) is the one Fraction per coefficient.
+        The sum is taken in Horner form over the divisor's nonzero tail
+        indices j_1 < ... < j_m <= k,
+
+            (((c_(j_m) Q_(k-j_m)) c_0^(j_m - j_(m-1)) + ...)
+                + c_(j_1) Q_(k-j_1)) c_0^(j_1 - 1),
+
+        the same int, but each step multiplies a quotient term by a small
+        divisor coefficient or a power of c_0 instead of by the growing
+        product c_j c_0^(j-1).  ``_divide`` also divides by an int
+        scale > 0, which joins that denominator: q_k = Q_k D / (c_0^(k+1) S
+        scale).
+        """
+        return self._divide(divisor, order, 1)
+
+    def _divide(self, divisor, order, scale):
+        """``divide``, with the quotient also divided by the int ``scale`` > 0.
+
+        Equal to ``self.scale(Fraction(1, scale)).divide(divisor, order)`` in
+        every coefficient and its precision: dividing by a positive int
+        moves no exponent, precision or exact zero.
         """
         if divisor.is_zero():
             raise ZeroDivisorError("cannot invert the zero series")
@@ -311,24 +340,28 @@ class LaurentElement:
         big_d = lcm(*(c.denominator for c in divisor._coeff.values()))
         big_s = lcm(*(c.denominator for c in self._coeff.values()))
         c0 = _scaled(divisor._coeff[v], big_d)
-        tail = sorted(
-            (k - v, _scaled(c, big_d) * c0 ** (k - v - 1))
-            for k, c in divisor._coeff.items() if k != v
-        )
+        # tail (j_i, c_(j_i), c_0^(j_i - j_(i-1))) with j_0 = 1, ascending
+        tail, below = [], 1
+        for j, c in sorted((k - v, c) for k, c in divisor._coeff.items() if k != v):
+            tail.append((j, _scaled(c, big_d), c0 ** (j - below)))
+            below = j
         dividend = {k - w: _scaled(c, big_s) for k, c in self._coeff.items()}
+        denominator = big_s * scale
         quotient = []
         table = {}
         power = 1  # c_0^k
+        live = 0  # the number of tail indices <= k
         for k in range(count):
-            total = power * dividend.get(k, 0)
-            for j, c in tail:
-                if j > k:
-                    break
-                total -= c * quotient[k - j]
+            while live < len(tail) and tail[live][0] <= k:
+                live += 1
+            horner = 0
+            for j, c, step in reversed(tail[:live]):
+                horner = (horner + c * quotient[k - j]) * step
+            total = power * dividend.get(k, 0) - horner
             quotient.append(total)
             power *= c0
             if total:
-                table[w - v + k] = Fraction(total * big_d, power * big_s)
+                table[w - v + k] = Fraction(total * big_d, power * denominator)
         return self._adopt(table, prec)
 
     def truncate(self, precision):

@@ -470,7 +470,7 @@ def test_packed_table_all_equal_entries(n):
     "coeff", [1, -1, 2**64, -(2**64), 2**64 - 1, -(2**64 - 1), 3 * 2**70, -(3 * 2**70)]
 )
 def test_packed_table_single_entry_at_the_bound(coeff):
-    # a 1 x 1 minor is its entry, whose 1-norm is the whole bound M
+    # a 1 x 1 minor is its entry, whose 1-norm sets the whole bound M
     for entry in (L({-3: coeff}), L({2: coeff, 3: -coeff})):
         assert _exact(laurent_matrix_det([[entry]])) == _exact(entry)
 
@@ -576,6 +576,57 @@ def test_direct_sum_adds_irregularity(first, second):
     assert _extracted_irregularities(conn) == (a[0] + b[0], a[1] + b[1])
 
 
+def _matmul(x, y):
+    return [[L.dot(zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def _gauge(conn, factors):
+    """A -> g^-1 A g + g^-1 g' for g the product of the factors I + c t^k E_ij
+    (i != j), unipotent over Z[t, t^-1]: g^-1 is the product of the
+    I - c t^k E_ij in the reverse order, so it stays exact."""
+    n = conn.rank
+    identity = [[L.one() if r == s else L.zero() for s in range(n)] for r in range(n)]
+
+    def elementary(i, j, c, k):
+        factor = [list(row) for row in identity]
+        factor[i][j] = L.monomial(k, c)
+        return factor
+
+    g = inverse = identity
+    for i, j, c, k in factors:
+        g = _matmul(g, elementary(i, j, c, k))
+        inverse = _matmul(elementary(i, j, -c, k), inverse)
+    assert _matmul(inverse, g) == identity
+    derivative = [[e.derivative() for e in row] for row in g]
+    matrix = _matmul(_matmul(inverse, conn.matrix), g)
+    correction = _matmul(inverse, derivative)
+    return Connection([[a + b for a, b in zip(row, extra)]
+                       for row, extra in zip(matrix, correction)])
+
+
+def _gauge_factors(n):
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    factor = st.tuples(st.sampled_from(pairs), st.sampled_from((-2, -1, 1, 2)),
+                       st.integers(min_value=-2, max_value=2))
+    return st.lists(factor.map(lambda f: (*f[0], f[1], f[2])), min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_fractional_opers().flatmap(
+    lambda chi: st.tuples(st.just(chi), _gauge_factors(chi.rank))))
+@example((_SLOPE_HALF, [(0, 1, 1, -1)]))
+@example((Oper([L.monomial(-1), L.monomial(-5)]), [(1, 0, 2, 2), (0, 1, -1, -2)]))
+# slope 4/3, Irr 4: without its a_3 term the formula reads 1 on the found
+# oper (v(a_2) = -3) but 0 on the companion one (a_1 = a_2 = 0)
+@example((Oper([L.zero(), L.zero(), L.monomial(-7)]), [(1, 0, -1, 2)]))
+def test_gauge_transformation_keeps_irregularity(case):
+    # D = d + A and d + g^-1 A g + g^-1 g' are one connection in the bases
+    # e and g e, so the oper of any cyclic vector has the same Irr
+    chi, factors = case
+    gauged = _gauge(oper_to_connection(chi), factors)
+    assert _extracted_irregularities(gauged) == _irregularities(chi)
+
+
 def test_oper_json_round_trip():
     chi = Oper([L.monomial(-1), L({0: Fraction(1, 2), -2: 3})])
     assert Oper.from_json(chi.to_json()) == chi
@@ -665,6 +716,25 @@ def test_extraction_after_search_equals_a_fresh_extraction(rank, seed, truncated
     chi = connection_to_oper(conn, found)
     fresh = connection_to_oper(Connection(conn.matrix), list(found.components))
     assert [_exact(a) for a in chi.a] == [_exact(a) for a in fresh.a]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_cramer_factor_in_the_division_equals_scaling_the_numerator(rank):
+    # connection_to_oper divides by L^(idx+1) inside the division; scaling
+    # each numerator by that Fraction first gives the same oper
+    conn = _generic_connection(2, rank)
+    assert conn.denominator > 1
+    found = cyclic_vector_search(conn)
+    images = conn._images(found.components, rank + 1)
+    augmented = [[images[rank - 1 - c][r] for c in range(rank)] + [images[rank][r]]
+                 for r in range(rank)]
+    det, *numerators = _cofactor_minors(augmented, _oper_orders(rank))
+    order = 4 * rank + 8
+    expected = [
+        _exact(numerator.scale(Fraction(1, conn.denominator ** (idx + 1))).divide(det, order))
+        for idx, numerator in enumerate(numerators)
+    ]
+    assert [_exact(a) for a in connection_to_oper(conn, found).a] == expected
 
 
 def _generic_connection(seed, rank):

@@ -1,6 +1,7 @@
 """Exact Laurent arithmetic: worked examples and algebraic laws."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -238,6 +239,91 @@ def test_divide_matches_product_with_inverse(a, d, order):
     quotient = _outcome(L.divide, a, d, order)
     assert quotient == _outcome(lambda: a * d.invert(order))
     assert quotient == _outcome(lambda: a * _geometric_invert(d, order))
+
+
+def _tail_divide(a, d, order):
+    """Reference quotient: the tail-form recurrence that preceded Horner form,
+
+        Q_k = c_0^k s_k - sum_{j=1..k} (c_j c_0^(j-1)) Q_{k-j},
+
+    with the same truncation and errors as ``divide``."""
+    if d.is_zero():
+        raise ZeroDivisorError("cannot invert the zero series")
+    v = d.valuation()
+    inverse_prec = None
+    if len(d._coeff) > 1 or d.precision is not None:
+        effective = order if d.precision is None else min(order, d.precision - v)
+        if effective <= 0:
+            raise PrecisionExhaustedError("order exhausted")
+        inverse_prec = effective - v
+    if a.is_zero():
+        return L.zero()
+    w = min(a._coeff, default=a.precision)
+    prec = None if inverse_prec is None else w + inverse_prec
+    if a.precision is not None:
+        prec = a.precision - v if prec is None else min(prec, a.precision - v)
+    if not a._coeff:
+        return L({}, prec)
+    count = max(a._coeff) - w + 1 if prec is None else prec - w + v
+    big_d = lcm(*(Fraction(c).denominator for c in d._coeff.values()))
+    big_s = lcm(*(Fraction(c).denominator for c in a._coeff.values()))
+    c0 = int(d._coeff[v] * big_d)
+    tail = sorted(
+        (k - v, int(c * big_d) * c0 ** (k - v - 1)) for k, c in d._coeff.items() if k != v
+    )
+    dividend = {k - w: int(c * big_s) for k, c in a._coeff.items()}
+    quotient, table, power = [], {}, 1
+    for k in range(count):
+        total = power * dividend.get(k, 0)
+        for j, c in tail:
+            if j > k:
+                break
+            total -= c * quotient[k - j]
+        quotient.append(total)
+        power *= c0
+        if total:
+            table[w - v + k] = Fraction(total * big_d, power * big_s)
+    return L(table, prec)
+
+
+big_ints = st.integers(min_value=-(2**100), max_value=2**100).filter(bool)
+# int coefficients up to 2^100, exact or truncated
+big_int_elements = st.builds(
+    L,
+    st.dictionaries(st.integers(min_value=-5, max_value=5), big_ints, max_size=6),
+    st.one_of(st.none(), st.integers(min_value=-4, max_value=10)),
+)
+
+
+@st.composite
+def _far_tail_quotients(draw):
+    """A dividend over the divisor t^v (c + t^k), k within two of the order."""
+    order = draw(st.integers(min_value=1, max_value=14))
+    k = draw(st.integers(min_value=max(1, order - 2), max_value=order + 2))
+    v = draw(st.integers(min_value=-3, max_value=3))
+    c = draw(st.one_of(nonzero_scalars, big_ints))
+    precision = draw(st.one_of(st.none(), st.integers(min_value=v + 1, max_value=v + 16)))
+    dividend = draw(st.one_of(quotient_operands, big_int_elements))
+    return dividend, L({v: c, v + k: draw(st.one_of(nonzero_scalars, big_ints))},
+                       precision), order
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.tuples(quotient_operands, quotient_operands, st.integers(min_value=-3, max_value=12)),
+    st.tuples(big_int_elements, big_int_elements, st.integers(min_value=-3, max_value=14)),
+    _far_tail_quotients(),
+), st.integers(min_value=1, max_value=6**5))
+@example((L({0: 1, 1: 2}, 3), L.monomial(2, 3), 5), 6)
+@example((L({0: 2**100, 3: -1}), L({0: 3, 11: 2**99}), 12), 36)
+def test_divide_matches_tail_recurrence(operands, scale):
+    # Horner form is the same int per coefficient, so the same Fraction,
+    # the same precision and the same error; a scale divides the dividend
+    a, d, order = operands
+    assert _outcome(L.divide, a, d, order) == _outcome(_tail_divide, a, d, order)
+    assert _outcome(L._divide, a, d, order, scale) == _outcome(
+        _tail_divide, a.scale(Fraction(1, scale)), d, order
+    )
 
 
 @settings(max_examples=60)
