@@ -23,12 +23,33 @@ from typing import NamedTuple
 from .errors import ValidationError
 
 
-class Gen(NamedTuple):
-    """The loop generator e_ij[u] = e_ij tensor t^u (1-based i, j)."""
-
+class _GenFields(NamedTuple):
+    u: int
     i: int
     j: int
-    u: int
+
+
+class Gen(_GenFields):
+    """The loop generator e_ij[u] = e_ij tensor t^u (1-based i, j).
+
+    Built as ``Gen(i, j, u)`` from three ints, and stored as the tuple
+    (u, i, j), so generators compare in the PBW order of ``gen_sort_key``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i, j, u):
+        if type(i) is not int or type(j) is not int or type(u) is not int:
+            raise ValidationError(
+                f"generator fields must be ints, got i={i!r}, j={j!r}, u={u!r}"
+            )
+        return tuple.__new__(cls, (u, i, j))
+
+    def __getnewargs__(self):
+        return self.i, self.j, self.u
+
+    def _replace(self, **changes):
+        return Gen(**{"i": self.i, "j": self.j, "u": self.u, **changes})
 
     def __repr__(self):
         return f"e[{self.i},{self.j};{self.u}]"
@@ -79,7 +100,10 @@ def word_from_tokens(tokens):
 
 
 def gen_sort_key(g):
-    """Total order on loop generators: degree first, then (i, j) lexicographic."""
+    """Total order on loop generators: degree first, then (i, j) lexicographic.
+
+    ``Gen`` tuples compare in this order already; the key spells it out.
+    """
     return (g.u, g.i, g.j)
 
 

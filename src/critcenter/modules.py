@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import TAU, AffineAlgebra, Gen, gen_sort_key, word_from_tokens
+from .algebra import TAU, AffineAlgebra, Gen, word_from_tokens
 from .errors import DomainError, ValidationError
 from .laurent import LaurentElement
 from .lincomb import LinComb, _accumulate, canonical, scalar_from_str
@@ -229,7 +229,7 @@ class ModuleVector(LinComb):
 
     @staticmethod
     def _display_key(word):
-        return len(word), [gen_sort_key(g) for g in word]
+        return len(word), word
 
     @staticmethod
     def _tokens(word):
@@ -241,13 +241,13 @@ class ModuleVector(LinComb):
     @classmethod
     def from_json(cls, data):
         """Terms whose words are basis monomials: loop generators in
-        nondecreasing ``gen_sort_key`` order, as ``RootModule.act`` writes them."""
+        nondecreasing PBW order (``gen_sort_key``), as ``RootModule.act``
+        writes them."""
         terms = cls._terms_from_json(data, word_from_tokens)
         for _c, word in terms:
             if TAU in word:
                 raise ValidationError("module vector words hold loop generators only")
-            keys = [gen_sort_key(g) for g in word]
-            if keys != sorted(keys):
+            if list(word) != sorted(word):
                 raise ValidationError(
                     f"module vector word {list(map(repr, word))} is not in PBW order"
                 )
@@ -346,7 +346,7 @@ class RootModule:
             self._act_cache[key] = result
             return result
         head = word[0]
-        if creation and gen_sort_key(g) <= gen_sort_key(head):
+        if creation and g <= head:
             result = {(g,) + word: 1}
             self._act_cache[key] = result
             return result
@@ -616,11 +616,12 @@ def state_is_central(state, n):
 
     The state may be an NCPoly, a dict, a tuple or a ModuleVector.  An
     NCPoly over a rank-n algebra lends its caches; any other state is
-    expanded over a fresh ``AffineAlgebra(n)``.
+    expanded over a fresh ``AffineAlgebra(n)``.  All n generators are
+    derived in one walk over the state's words (``_kills_all``).
     """
     algebra, words = _critical_words(state, n)
     generators = [Gen(i, i + 1, 0) for i in range(1, n)] + [Gen(n, 1, 1)]
-    return all(_kills_state(algebra, g, words) for g in generators)
+    return _kills_all(algebra, generators, words)
 
 
 def _critical_words(state, n):
@@ -635,11 +636,39 @@ def _critical_words(state, n):
     return AffineAlgebra(n), words
 
 
-def _kills_state(algebra, g, words):
-    """Whether g kills sum c_w w v_0, expanded as in ``state_is_central``."""
-    raw = {}
+def _kills_all(algebra, generators, words):
+    """Whether each generator kills sum c_w w v_0, expanded as in ``state_is_central``.
+
+    One walk over the words fills a raw sum per generator, in the order
+    that a walk for that generator alone would.  A table local to the call
+    maps each distinct factor x to the generators g with [g, x] != 0, so
+    each position costs one lookup, not one bracket per generator.  The raw
+    sums are straightened one by one, stopping at the first that is not 0.
+    """
+    raws = [{} for _ in generators]
+    partners = {}
     for word, c in words.items():
-        _derive(algebra, g, word, c, (), raw)
+        for i, x in enumerate(word):
+            hits = partners.get(x)
+            if hits is None:
+                hits = partners[x] = []
+                for g, raw in zip(generators, raws):
+                    lie, central = algebra.bracket(g, x)
+                    if lie or central:
+                        hits.append((raw, lie, central))
+            if hits:
+                pre, post = word[:i], word[i + 1 :]
+                for raw, lie, central in hits:
+                    _add_bracket(algebra, lie, central, c, pre, post, raw)
+    return all(_straightens_to_zero(algebra, raw) for raw in raws)
+
+
+def _kills_state(algebra, g, words):
+    """Whether g kills sum c_w w v_0: ``_kills_all`` for one generator."""
+    return _kills_all(algebra, (g,), words)
+
+
+def _straightens_to_zero(algebra, raw):
     out = {}
     for word, c in raw.items():
         if c:
@@ -651,18 +680,24 @@ def _derive(algebra, g, word, c, left, raw):
     """Add c * left * [g, word] v_0 to raw as words of negative-degree factors."""
     for i, x in enumerate(word):
         lie, central = algebra.bracket(g, x)
-        if not lie and not central:
-            continue
-        pre, post = left + word[:i], word[i + 1 :]
-        for h, c2 in lie:
-            if h.u >= 0:
-                _derive(algebra, h, post, c * c2, pre, raw)
-            else:
-                key = pre + (h,) + post
-                raw[key] = raw.get(key, 0) + c * c2
-        if central:
-            key = pre + post
-            raw[key] = raw.get(key, 0) + c * central
+        if lie or central:
+            _add_bracket(algebra, lie, central, c, left + word[:i], word[i + 1 :], raw)
+
+
+def _add_bracket(algebra, lie, central, c, pre, post, raw):
+    """Add c * pre [g, x] post v_0 to raw, with [g, x] = (lie, central).
+
+    A loop term of degree >= 0 kills v_0, so ``_derive`` expands it again.
+    """
+    for h, c2 in lie:
+        if h.u >= 0:
+            _derive(algebra, h, post, c * c2, pre, raw)
+        else:
+            key = pre + (h,) + post
+            raw[key] = raw.get(key, 0) + c * c2
+    if central:
+        key = pre + post
+        raw[key] = raw.get(key, 0) + c * central
 
 
 def ss_operator_act(n, ell, N, rf):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import TAU, gen_sort_key, tau_bracket, tau_token, word_from_tokens
+from .algebra import TAU, tau_bracket, tau_token, word_from_tokens
 from .errors import DomainError, ValidationError
 from .lincomb import LinComb, _accumulate, canonical
 
@@ -36,7 +36,7 @@ def _straighten(algebra, word):
         x, y = word[idx], word[idx + 1]
         if x is TAU:
             continue
-        if y is TAU or gen_sort_key(x) > gen_sort_key(y):
+        if y is TAU or x > y:
             bad = idx
             break
     if bad is None:
@@ -63,6 +63,45 @@ def _straighten(algebra, word):
             _accumulate(out, _straighten(algebra, head + tail), central)
     cache[word] = out
     return out
+
+
+def _lmul(algebra, g, word, memo):
+    """Normal form of g * word for a normal tau-free word, as {word: coeff}.
+
+    Inserts g from the left: it is prepended when it does not exceed the
+    first factor h, and otherwise
+
+        g (h w') = h (g w') + [g, h] w',
+
+    with the central scalar of [g, h] times w' among the bracket terms.
+    Here g w' is normal again, and h is inserted into each of its words in
+    turn.  ``memo`` holds the result per (generator, word) and is owned by
+    the caller; its values are shared and never mutated.  Equal to
+    ``_straighten(algebra, (g,) + word)`` read as {word: coeff}, without
+    straightening whole words or filling the algebra's cache.
+
+    ``RootModule._act_word`` runs the same insertion on module words, but
+    also branches on the root function's creation test (an annihilator is
+    carried through to v_0); kept apart, this one has no such branch.
+    """
+    key = (g, word)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if not word or g <= word[0]:
+        result = {(g,) + word: 1}
+    else:
+        head, tail = word[0], word[1:]
+        result = {}
+        for w, c in _lmul(algebra, g, tail, memo).items():
+            _accumulate(result, _lmul(algebra, head, w, memo), c)
+        lie, central = algebra.bracket(g, head)
+        for h, c in lie:
+            _accumulate(result, _lmul(algebra, h, tail, memo), c)
+        if central:
+            _accumulate(result, {tail: central})
+    memo[key] = result
+    return result
 
 
 class NCPoly(LinComb):
@@ -155,7 +194,7 @@ class NCPoly(LinComb):
     def _display_key(key):
         """Tau power descending, then word order."""
         k, word = key
-        return -k, len(word), [gen_sort_key(g) for g in word]
+        return -k, len(word), word
 
     @staticmethod
     def _tokens(key):
@@ -196,7 +235,7 @@ def _project_word(algebra, word):
     out = {}
     if low is None:
         if all(g.i == g.j for g in word):
-            out[0, tuple(sorted(word, key=gen_sort_key))] = 1
+            out[0, tuple(sorted(word))] = 1
     else:
         x, rest = word[low], word[low + 1 :]
         for k in range(low):

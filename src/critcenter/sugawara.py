@@ -39,7 +39,10 @@ with F[empty, 0] = 1 and S_l = F[{1..n}, n - l].  Each F[R, J] is a
 MinorNode: a sum of terms (coef, head, child), the product state
 coef * head * child (head None for the tau term).  The scan reads its
 Fourier modes as written, since the field of a product state is the normally
-ordered product of its factors' fields; ``ss_vectors`` multiplies it out.
+ordered product of its factors' fields.  ``ss_vectors`` multiplies it out
+by left insertion (``pbw._lmul``): head * child becomes the normal form of
+the head inserted into each normal word of the child, so no whole word is
+straightened and no product of NCPolys is formed.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from math import comb, factorial
 from .algebra import AffineAlgebra, Gen
 from .errors import ValidationError
 from .lincomb import _accumulate
-from .pbw import NCPoly
+from .pbw import NCPoly, _lmul
 
 
 def _perm_sign(perm):
@@ -164,8 +167,14 @@ _family_cache = {}
 
 
 def ss_vectors(n):
-    """The central vectors S_l, each its ``ss_nodes`` node multiplied out
-    (every node once, in a memo local to the call), and their omega_l.
+    """The central vectors S_l, each its ``ss_nodes`` node multiplied out,
+    and their omega_l.
+
+    Every node is expanded once, into {word: coeff} over normal tau-free
+    words: a term coef * head * child inserts its head into each word of
+    the child's expansion from the left (``pbw._lmul``).  The expansions
+    and the insertion memo are local to the call, so neither outlives the
+    construction.
     """
     if n < 1:
         raise ValidationError("rank must be at least 1")
@@ -173,21 +182,27 @@ def ss_vectors(n):
     if cached is not None:
         return cached
     algebra = AffineAlgebra(n)
-    polys = {(): NCPoly.one(algebra)}
+    expansions = {(): {(): 1}}
+    memo = {}
 
     def expand(node):
-        poly = polys.get(node)
-        if poly is None:
+        table = expansions.get(node)
+        if table is None:
             table = {}
             for coef, head, child in node.terms:
                 sub = expand(child)
-                if head is not None:  # a tau term contributes coef * child
-                    sub = NCPoly.generator(algebra, head) * sub
-                _accumulate(table, sub._terms, coef)
-            poly = polys[node] = NCPoly._adopt(algebra, table)
-        return poly
+                if head is None:  # a tau term contributes coef * child
+                    _accumulate(table, sub, coef)
+                else:
+                    for word, c in sub.items():
+                        _accumulate(table, _lmul(algebra, head, word, memo), coef * c)
+            expansions[node] = table
+        return table
 
-    S = [expand(node) for node in ss_nodes(n)]
+    S = [
+        NCPoly._adopt(algebra, {(0, word): c for word, c in expand(node).items()})
+        for node in ss_nodes(n)
+    ]
 
     tau = NCPoly.tau(algebra)
     omega_product = NCPoly.one(algebra)

@@ -1,17 +1,25 @@
 """Structure constants of the extended loop algebra."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
+
+import pytest
 
 from critcenter.algebra import (
     AffineAlgebra,
     Gen,
     bracket,
     gen_from_str,
+    gen_sort_key,
     killing_form,
     tau_bracket,
 )
+from critcenter.errors import ValidationError
+from critcenter.modules import ModuleVector, RootModule, root_fn_km0, state_is_central
+from critcenter.pbw import NCPoly
 
 
 def test_killing_form_values():
@@ -57,6 +65,50 @@ def test_tau_bracket():
 def test_generator_token_round_trip():
     g = Gen(2, 3, -4)
     assert gen_from_str(repr(g)) == g
+
+
+def test_generator_layout_keeps_the_constructor_and_sorts_in_pbw_order():
+    # Gen(i, j, u) is stored as (u, i, j): the constructor, attributes, text
+    # and equality are those of e_ij[u], and plain tuple order is the PBW
+    # order of gen_sort_key.
+    g = Gen(2, 3, -4)
+    assert (g.i, g.j, g.u) == (2, 3, -4)
+    assert repr(g) == "e[2,3;-4]"
+    assert g == Gen(2, 3, -4) and g != Gen(3, 2, -4) and g != Gen(2, 3, 4)
+    assert hash(g) == hash(Gen(2, 3, -4))
+    assert g._replace(u=1) == Gen(2, 3, 1)
+    assert g._replace(i=1, j=1) == Gen(1, 1, -4)
+    assert g.shifted(-1) == Gen(2, 3, -5)
+    copies = [copy.copy(g), copy.deepcopy(g)]
+    copies += [pickle.loads(pickle.dumps(g, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert type(twin) is Gen and twin == g and repr(twin) == repr(g)
+        assert (twin.i, twin.j, twin.u) == (2, 3, -4)
+    gens = [
+        Gen(i, j, u) for i in range(1, 4) for j in range(1, 4) for u in range(-3, 4)
+    ]
+    random.Random(5).shuffle(gens)
+    assert sorted(gens) == sorted(gens, key=gen_sort_key)
+    for a, b in product(gens[:40], repeat=2):
+        assert (a < b) == (gen_sort_key(a) < gen_sort_key(b))
+
+
+def test_generator_fields_must_be_ints():
+    # A float or bool index or degree is refused where the generator is
+    # built, before any layer reads it.
+    with pytest.raises(ValidationError):
+        NCPoly(AffineAlgebra(2), {(0, (Gen(1, 2, 1.5), Gen(2, 1, -1.5))): 1})
+    with pytest.raises(ValidationError):
+        state_is_central({(Gen(1, 2, -1.5),): 1}, 2)
+    with pytest.raises(ValidationError):
+        RootModule(root_fn_km0(2, 1)).act(Gen(1, 2, 0.5), ModuleVector.vacuum())
+    with pytest.raises(ValidationError):
+        Gen(True, 2, -1)
+    for fields in ((1, 2, Fraction(-1)), (1.0, 2, -1), (1, False, -1), (1, 2, "3")):
+        with pytest.raises(ValidationError):
+            Gen(*fields)
+    with pytest.raises(ValidationError):
+        Gen(1, 2, -1)._replace(u=0.5)
 
 
 def test_algebra_bracket_is_memoised_and_immutable():

@@ -558,6 +558,22 @@ def test_centrality_matches_vacuum_module_oracle(case):
         assert _kills_state(algebra, g, words) == mod.act(g, vec).is_zero(), (n, g)
 
 
+def test_flipping_one_sign_of_a_sugawara_vector_breaks_centrality():
+    # S_l - 2 c w for one term c w of S_l: the one-pass derivation must not
+    # lose or cross a generator's terms, at the first and the last word in
+    # display order.
+    for n in range(2, 6):
+        for s in ss_vectors(n).S[1:]:
+            assert state_is_central(s, n)
+            keys = [key for key, _c in s.items()]
+            for flip in (keys[0], keys[-1]):
+                mutant = NCPoly(
+                    s.algebra,
+                    {key: -c if key == flip else c for key, c in s._terms.items()},
+                )
+                assert not state_is_central(mutant, n), (n, flip)
+
+
 def test_centrality_rejects_indices_outside_the_rank():
     with pytest.raises(ValidationError):
         state_is_central(ss_vectors(3).S[0], 2)

@@ -11,7 +11,7 @@ from critcenter.algebra import TAU, AffineAlgebra, Gen, bracket, gen_sort_key
 from critcenter.errors import DomainError, ValidationError
 from critcenter.modules import ModuleVector, RootModule, root_fn_km0
 from critcenter.lincomb import _accumulate
-from critcenter.pbw import NCPoly, _project_word, hc_project
+from critcenter.pbw import NCPoly, _lmul, _project_word, _straighten, hc_project
 from critcenter.sugawara import ss_vectors
 from oracles import CommPoly, from_word, symbol
 
@@ -253,6 +253,41 @@ def test_hc_project_matches_triangular_deletion(case):
     p = from_word(alg, word, 3)
     normal = [(w, c) for (_k, w), c in p._terms.items()]
     assert hc_project(p) == _project_by_deletion(alg, normal)
+
+
+def _negative_gens(n):
+    return st.builds(Gen, st.integers(1, n), st.integers(1, n), st.integers(-3, -1))
+
+
+_insertions = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        _negative_gens(n),
+        st.lists(_negative_gens(n), max_size=5).map(
+            lambda w: tuple(sorted(w, key=gen_sort_key))
+        ),
+    )
+)
+
+_shared_insertion_memos = {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_insertions)
+@example((2, Gen(2, 1, -1), (Gen(1, 2, -2), Gen(1, 2, -1), Gen(2, 1, -1))))
+@example((3, Gen(3, 1, -1), (Gen(1, 2, -3), Gen(2, 3, -2), Gen(1, 3, -1))))
+@example((2, Gen(1, 2, 1), (Gen(2, 1, -1), Gen(2, 2, -1))))  # a central term
+def test_left_insertion_matches_straightening(case):
+    # _lmul(g, word) is the normal form of g * word for a normal word, with a
+    # fresh memo and with one memo per rank shared across examples.
+    n, g, word = case
+    alg = AffineAlgebra(n)
+    expected = {}
+    for (k, w), c in _straighten(alg, (g,) + word).items():
+        assert k == 0
+        expected[w] = c
+    assert _lmul(alg, g, word, {}) == expected
+    assert _lmul(alg, g, word, _shared_insertion_memos.setdefault(n, {})) == expected
 
 
 def test_hc_project_of_ss_is_omega_at_ranks_5_and_6():
