@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # Each public name, under the layer that defines it.
 _LAYERS = {
     "laurent": ("INFINITY", "LaurentElement"),
-    "algebra": ("TAU", "AffineAlgebra", "Gen", "bracket", "killing_form", "tau_bracket"),
+    "algebra": ("AffineAlgebra", "Gen", "bracket", "killing_form"),
     "pbw": ("NCPoly", "hc_project"),
     "sugawara": ("SSFamily", "cdet", "check_row_property", "ss_vectors"),
     "diffop": (

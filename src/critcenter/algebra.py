@@ -10,9 +10,7 @@ with kappa the critical level, -1/2 times the modified Killing form
     (X, Y) = 2n tr(XY) - 2 tr(X) tr(Y).
 
 Only there is the centre of the completed enveloping algebra nontrivial
-(Feigin-Frenkel), so the level is a constant, not a parameter.  The outer
-derivation tau satisfies [tau, e_ij[r]] = -r e_ij[r-1] and kills the central
-element.
+(Feigin-Frenkel), so the level is a constant, not a parameter.
 """
 
 from __future__ import annotations
@@ -58,15 +56,6 @@ class Gen(_GenFields):
         return Gen(self.i, self.j, self.u + du)
 
 
-class _Tau:
-    """The outer derivation adjoint to -d/dt on loop degrees."""
-
-    def __repr__(self):
-        return "tau"
-
-
-TAU = _Tau()
-
 _GEN_RE = re.compile(r"^e\[(-?\d+),(-?\d+);(-?\d+)\]$")
 
 
@@ -77,26 +66,9 @@ def gen_from_str(token):
     return Gen(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
-def tau_token(k):
-    """The JSON word token of tau^k for k >= 1."""
-    return f"tau^{k}"
-
-
 def word_from_tokens(tokens):
-    """The factors of a JSON word, a product read left to right.
-
-    "tau^k" stands for k tau factors where it is, and "one" for none.
-    """
-    word = []
-    for token in map(str.strip, tokens):
-        if token == "tau" or token.startswith("tau^"):
-            power = "1" if token == "tau" else token[4:]
-            if not power.isdecimal():
-                raise ValidationError(f"cannot parse tau power {token!r}")
-            word += [TAU] * int(power)
-        elif token != "one":
-            word.append(gen_from_str(token))
-    return tuple(word)
+    """The factors of a JSON word, a product read left to right; "one" is none."""
+    return tuple(gen_from_str(t) for t in map(str.strip, tokens) if t != "one")
 
 
 def gen_sort_key(g):
@@ -135,15 +107,6 @@ def bracket(a, b, n):
     if a.u + b.u == 0:
         central = killing_form(n, (a.i, a.j), (b.i, b.j)) * b.u // 2
     return [(g, c) for g, c in terms.items() if c], central
-
-
-def tau_bracket(x):
-    """[tau, e_ij[r]] = -r e_ij[r-1]."""
-    if not isinstance(x, Gen):
-        raise ValidationError("tau_bracket expects a loop generator")
-    if x.u == 0:
-        return []
-    return [(x.shifted(-1), -x.u)]
 
 
 class AffineAlgebra:

@@ -94,9 +94,11 @@ class LinComb:
 
     Subclasses that use this constructor define ``_key``, which brings a key
     given to it into normal form.  Tables built elsewhere already hold normal
-    keys and int or Fraction values, never zero; ``_adopt`` wraps them.  For
-    text and JSON a subclass defines ``_tokens``, a key's JSON word, and may
-    override ``_display_key``, the sort key of a key, and ``_body``, its text.
+    keys and int or Fraction values, never zero; ``_adopt`` wraps them.  Text
+    and JSON read a key as a word, a tuple of factors: shorter words display
+    first (``_display_key``), and a key's JSON word is the repr of each
+    factor (``_tokens``).  A subclass may override these and ``_body``, a
+    key's text.
     """
 
     __slots__ = ("_terms",)
@@ -167,7 +169,11 @@ class LinComb:
 
     @staticmethod
     def _display_key(key):
-        return key
+        return len(key), key
+
+    @staticmethod
+    def _tokens(key):
+        return [repr(factor) for factor in key]
 
     def _body(self, key):
         return "*".join(self._tokens(key)) or "1"

@@ -1,11 +1,10 @@
 """Normally ordered noncommutative polynomials in affine generators.
 
-An NC monomial is tau^k times a word of loop generators.  Normal form sorts
-the word by the fixed total order (degree ascending, then (i, j)
-lexicographic) with all tau powers collected at the far left; straightening
-repeatedly swaps adjacent out-of-order factors,
+An NC monomial is a word of loop generators.  Normal form sorts the word by
+the fixed total order (degree ascending, then (i, j) lexicographic);
+straightening repeatedly swaps adjacent out-of-order factors,
 
-    x y -> y x + [x, y],        e_ij[r] tau -> tau e_ij[r] + r e_ij[r-1],
+    x y -> y x + [x, y],
 
 absorbing central scalars into the coefficient (the central element acts as
 1).  The rewriting terminates and is confluent, so the normal form does not
@@ -16,57 +15,40 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import TAU, tau_bracket, tau_token, word_from_tokens
+from .algebra import word_from_tokens
 from .errors import DomainError, ValidationError
 from .lincomb import LinComb, _accumulate, canonical
 
 
 def _straighten(algebra, word):
-    """Normal form of a raw word (tuple over Gen and TAU tokens).
+    """Normal form of a raw word (a tuple of Gen) as {word: int or Fraction}.
 
-    Returns a dict {(tau_power, gen_word): int or Fraction}.  Cached per
-    algebra.
+    Cached per algebra.
     """
     cache = algebra._straighten_cache.setdefault("deglex", {})
     hit = cache.get(word)
     if hit is not None:
         return hit
-    bad = None
-    for idx in range(len(word) - 1):
-        x, y = word[idx], word[idx + 1]
-        if x is TAU:
-            continue
-        if y is TAU or x > y:
-            bad = idx
-            break
+    bad = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
     if bad is None:
-        k = 0
-        while k < len(word) and word[k] is TAU:
-            k += 1
-        result = {(k, tuple(word[k:])): 1}
-        cache[word] = result
+        cache[word] = result = {word: 1}
         return result
 
     x, y = word[bad], word[bad + 1]
     head, tail = word[:bad], word[bad + 2 :]
     out = {}
     _accumulate(out, _straighten(algebra, head + (y, x) + tail))
-    if y is TAU:
-        # x tau = tau x - [tau, x]
-        for g, c in tau_bracket(x):
-            _accumulate(out, _straighten(algebra, head + (g,) + tail), -c)
-    else:
-        lie, central = algebra.bracket(x, y)
-        for g, c in lie:
-            _accumulate(out, _straighten(algebra, head + (g,) + tail), c)
-        if central:
-            _accumulate(out, _straighten(algebra, head + tail), central)
+    lie, central = algebra.bracket(x, y)
+    for g, c in lie:
+        _accumulate(out, _straighten(algebra, head + (g,) + tail), c)
+    if central:
+        _accumulate(out, _straighten(algebra, head + tail), central)
     cache[word] = out
     return out
 
 
 def _lmul(algebra, g, word, memo):
-    """Normal form of g * word for a normal tau-free word, as {word: coeff}.
+    """Normal form of g * word for a normal word, as {word: coeff}.
 
     Inserts g from the left: it is prepended when it does not exceed the
     first factor h, and otherwise
@@ -77,8 +59,8 @@ def _lmul(algebra, g, word, memo):
     Here g w' is normal again, and h is inserted into each of its words in
     turn.  ``memo`` holds the result per (generator, word) and is owned by
     the caller; its values are shared and never mutated.  Equal to
-    ``_straighten(algebra, (g,) + word)`` read as {word: coeff}, without
-    straightening whole words or filling the algebra's cache.
+    ``_straighten(algebra, (g,) + word)``, without straightening whole
+    words or filling the algebra's cache.
 
     ``RootModule._act_word`` runs the same insertion on module words, but
     also branches on the root function's creation test (an annihilator is
@@ -105,7 +87,7 @@ def _lmul(algebra, g, word, memo):
 
 
 class NCPoly(LinComb):
-    """A finite exact combination of normally ordered NC monomials."""
+    """A finite exact combination of normally ordered NC monomials (words)."""
 
     __slots__ = ("algebra",)
 
@@ -114,11 +96,10 @@ class NCPoly(LinComb):
         table = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for (tau_pow, word), coeff in items:
+            for word, coeff in items:
                 coeff = canonical(coeff)
                 if coeff:
-                    raw = (TAU,) * tau_pow + tuple(word)
-                    _accumulate(table, _straighten(algebra, raw), coeff)
+                    _accumulate(table, _straighten(algebra, tuple(word)), coeff)
         self._terms = table
 
     @classmethod
@@ -130,40 +111,8 @@ class NCPoly(LinComb):
     def _new(self, table):
         return NCPoly._adopt(self.algebra, table)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def one(cls, algebra):
-        return cls._adopt(algebra, {(0, ()): 1})
-
-    @classmethod
-    def generator(cls, algebra, gen):
-        return cls._adopt(algebra, {(0, (gen,)): 1})
-
-    @classmethod
-    def tau(cls, algebra):
-        return cls._adopt(algebra, {(1, ()): 1})
-
-    # -- queries -----------------------------------------------------------
-
-    def coefficient(self, tau_power, word):
-        return self._terms.get((tau_power, tuple(word)), 0)
-
-    def tau_component(self, tau_power):
-        """The right coefficient of tau^k: sum of tau-free words at that power."""
-        picked = {
-            (0, word): c for (k, word), c in self._terms.items() if k == tau_power
-        }
-        return NCPoly._adopt(self.algebra, picked)
-
-    def words(self):
-        """The tau-free content as {word: coeff}; errors if tau occurs."""
-        out = {}
-        for (k, word), c in self._terms.items():
-            if k:
-                raise DomainError("polynomial contains tau")
-            out[word] = c
-        return out
+    def coefficient(self, word):
+        return self._terms.get(tuple(word), 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -176,47 +125,28 @@ class NCPoly(LinComb):
         return super().__add__(other)
 
     def __mul__(self, other):
+        """The product: each concatenated pair of words, straightened."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
         table = {}
-        for (k1, w1), c1 in self._terms.items():
-            for (k2, w2), c2 in other._terms.items():
-                raw = (TAU,) * k1 + w1 + (TAU,) * k2 + w2
-                _accumulate(table, _straighten(self.algebra, raw), c1 * c2)
+        for w1, c1 in self._terms.items():
+            for w2, c2 in other._terms.items():
+                _accumulate(table, _straighten(self.algebra, w1 + w2), c1 * c2)
         return NCPoly._adopt(self.algebra, table)
 
     __rmul__ = __mul__
 
-    # -- presentation ------------------------------------------------------
-
-    @staticmethod
-    def _display_key(key):
-        """Tau power descending, then word order."""
-        k, word = key
-        return -k, len(word), word
-
-    @staticmethod
-    def _tokens(key):
-        k, word = key
-        return ([tau_token(k)] if k else []) + [repr(g) for g in word]
-
-    def _body(self, key):
-        tokens = self._tokens(key)
-        if key[0] == 1:
-            tokens[0] = "tau"
-        return "*".join(tokens) or "1"
-
     @classmethod
     def from_json(cls, algebra, data):
         terms = cls._terms_from_json(data, word_from_tokens)
-        return cls(algebra, [((0, word), c) for c, word in terms])
+        return cls(algebra, [(word, c) for c, word in terms])
 
 
 def _project_word(algebra, word):
     """The Cartan projection of a word of negative-degree generators.
 
-    Returns {(0, cartan_word): coeff}, memoised per algebra.  A word A x B
+    Returns {cartan_word: coeff}, memoised per algebra.  A word A x B
     whose leftmost lower-triangular factor is x equals
     x A B + sum_k A_<k [A_k, x] A_>k B, and x A B lies in n_- U, so the
     word projects as its bracket terms: shorter words, again of negative
@@ -235,7 +165,7 @@ def _project_word(algebra, word):
     out = {}
     if low is None:
         if all(g.i == g.j for g in word):
-            out[0, tuple(sorted(word))] = 1
+            out[tuple(sorted(word))] = 1
     else:
         x, rest = word[low], word[low + 1 :]
         for k in range(low):
@@ -269,9 +199,7 @@ def hc_project(p):
     all-Cartan.
     """
     table = {}
-    for (k, word), c in p._terms.items():
-        if k:
-            raise DomainError("projection undefined: monomial contains tau")
+    for word, c in p._terms.items():
         if any(g.u >= 0 for g in word):
             raise DomainError("projection undefined: nonnegative-degree factor")
         _accumulate(table, _project_word(p.algebra, word), c)

@@ -8,8 +8,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from critcenter.algebra import Gen
-from critcenter.errors import DomainError
-from critcenter.lincomb import LinComb
+from critcenter.errors import ValidationError
+from critcenter.lincomb import LinComb, _accumulate, canonical
 from critcenter.modules import RootFunction, RootModule
 from critcenter.pbw import NCPoly
 from critcenter.sugawara import _perm_sign
@@ -37,9 +37,142 @@ def lemma_relations_bound(word, rf):
     return degrees >= depths
 
 
-def from_word(algebra, word, coeff=1, tau_power=0):
-    """The NC polynomial coeff * tau^tau_power * word, straightened."""
-    return NCPoly(algebra, {(tau_power, tuple(word)): coeff})
+def from_word(algebra, word, coeff=1):
+    """The NC polynomial coeff * word, straightened."""
+    return NCPoly(algebra, {tuple(word): coeff})
+
+
+# -- tau: the products that define S_l and omega_l ---------------------------
+
+
+class _Tau:
+    """The outer derivation adjoint to -d/dt on loop degrees."""
+
+    def __repr__(self):
+        return "tau"
+
+
+TAU = _Tau()
+
+
+def tau_bracket(x):
+    """[tau, e_ij[r]] = -r e_ij[r-1]; tau kills the central element."""
+    if not isinstance(x, Gen):
+        raise ValidationError("tau_bracket expects a loop generator")
+    if x.u == 0:
+        return []
+    return [(x.shifted(-1), -x.u)]
+
+
+def straighten_with_tau(algebra, word):
+    """Normal form {(tau power, normal word): coeff} of a word over TAU and Gen.
+
+    Resolves the rightmost out-of-order pair first, where the library's
+    ``pbw._straighten`` takes the leftmost: x y -> y x + [x, y] for two
+    generators, and x tau -> tau x - [tau, x], so every tau ends up on the
+    left.  Memoised in the algebra's straightening cache under "tau"; the
+    values are shared and never mutated.
+    """
+    memo = algebra._straighten_cache.setdefault("tau", {})
+    hit = memo.get(word)
+    if hit is not None:
+        return hit
+    bad = next(
+        (
+            k
+            for k in range(len(word) - 2, -1, -1)
+            if word[k] is not TAU and (word[k + 1] is TAU or word[k] > word[k + 1])
+        ),
+        None,
+    )
+    if bad is None:
+        k = 0
+        while k < len(word) and word[k] is TAU:
+            k += 1
+        out = {(k, word[k:]): 1}
+    else:
+        x, y = word[bad], word[bad + 1]
+        head, tail = word[:bad], word[bad + 2 :]
+        out = {}
+        _accumulate(out, straighten_with_tau(algebra, head + (y, x) + tail))
+        if y is TAU:
+            for g, c in tau_bracket(x):
+                _accumulate(out, straighten_with_tau(algebra, head + (g,) + tail), -c)
+        else:
+            lie, central = algebra.bracket(x, y)
+            for g, c in lie:
+                _accumulate(out, straighten_with_tau(algebra, head + (g,) + tail), c)
+            if central:
+                _accumulate(out, straighten_with_tau(algebra, head + tail), central)
+    memo[word] = out
+    return out
+
+
+class TauPoly(LinComb):
+    """An NC polynomial in tau and the loop generators, tau on the left.
+
+    The term c tau^k w is keyed (k, w) with w a normal word.  The product
+    straightens each concatenated pair of raw words (``straighten_with_tau``),
+    so ``sugawara.cdet`` over a matrix of TauPolys is cdet(tau + E[-1]) as
+    the definition writes it.
+    """
+
+    __slots__ = ("algebra",)
+
+    def __init__(self, algebra, terms=None):
+        self.algebra = algebra
+        table = {}
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        for (k, word), c in items:
+            raw = (TAU,) * k + tuple(word)
+            _accumulate(table, straighten_with_tau(algebra, raw), canonical(c))
+        self._terms = table
+
+    @classmethod
+    def _adopt(cls, algebra, table):
+        poly = super()._adopt(table)
+        poly.algebra = algebra
+        return poly
+
+    def _new(self, table):
+        return TauPoly._adopt(self.algebra, table)
+
+    @classmethod
+    def tau(cls, algebra):
+        return cls(algebra, {(1, ()): 1})
+
+    @classmethod
+    def generator(cls, algebra, gen):
+        return cls(algebra, {(0, (gen,)): 1})
+
+    def __mul__(self, other):
+        table = {}
+        for (k1, w1), c1 in self._terms.items():
+            for (k2, w2), c2 in other._terms.items():
+                raw = (TAU,) * k1 + w1 + (TAU,) * k2 + w2
+                _accumulate(table, straighten_with_tau(self.algebra, raw), c1 * c2)
+        return TauPoly._adopt(self.algebra, table)
+
+    def tau_component(self, k):
+        """The right coefficient of tau^k, as an NCPoly."""
+        table = {w: c for (j, w), c in self._terms.items() if j == k}
+        return NCPoly._adopt(self.algebra, table)
+
+    @staticmethod
+    def _tokens(key):
+        k, word = key
+        return [repr(TAU)] * k + [repr(g) for g in word]
+
+
+def tau_plus_e(algebra):
+    """The matrix tau + E[-1] over TauPoly: e_ij[-1] at (i, j), plus tau on the diagonal."""
+    n = algebra.n
+    tau = TauPoly.tau(algebra)
+    gen = lambda i, j: TauPoly.generator(algebra, Gen(i, j, -1))
+    return [
+        [tau + gen(i, j) if i == j else gen(i, j) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
 
 
 class CommPoly(LinComb):
@@ -78,17 +211,12 @@ class CommPoly(LinComb):
 def symbol(p):
     """Top filtration-degree part of an NCPoly as a commutative polynomial.
 
-    The filtration degree of a monomial is its number of generator factors;
-    tau is not allowed.
+    The filtration degree of a monomial is its number of generator factors.
     """
-    top = 0
-    for (k, word) in p._terms:
-        if k:
-            raise DomainError("symbol undefined: monomial contains tau")
-        top = max(top, len(word))
+    top = max(map(len, p._terms), default=0)
     return CommPoly(
         ([(g.i, g.j, g.u) for g in word], c)
-        for (_k, word), c in p._terms.items()
+        for word, c in p._terms.items()
         if len(word) == top
     )
 

@@ -56,7 +56,7 @@ def criterion(cid, label):
 
 
 def _poly(alg, terms):
-    return NCPoly(alg, terms)
+    return NCPoly(alg, {word: c for (_tau_power, word), c in terms.items()})
 
 
 def test_criterion_01_gl2_vectors_byte_for_byte():

@@ -17,7 +17,7 @@ from critcenter.modules import (
     RootModule,
     _critical_words,
     _gbinom,
-    _kills_state,
+    _kills_all,
     conductor_irregularity_report,
     root_fn_constant,
     root_fn_km0,
@@ -34,9 +34,9 @@ V0 = ModuleVector.vacuum()
 
 
 def act_poly(mod, poly, vec):
-    """Apply a tau-free NC polynomial (PBW-ordered words act as written)."""
+    """Apply an NC polynomial (PBW-ordered words act as written)."""
     table = {}
-    for word, c in poly.words().items():
+    for word, c in poly._terms.items():
         _accumulate(table, mod.act_word(word, vec)._terms, c)
     return ModuleVector._adopt(table)
 
@@ -403,9 +403,9 @@ def _reordered_quadratic_variant():
     return NCPoly(
         alg,
         {
-            (0, (Gen(1, 1, -2),)): -1,
-            (0, (Gen(1, 1, -1), Gen(2, 2, -1))): 1,
-            (0, (Gen(1, 2, -1), Gen(2, 1, -1))): -1,
+            (Gen(1, 1, -2),): -1,
+            (Gen(1, 1, -1), Gen(2, 2, -1)): 1,
+            (Gen(1, 2, -1), Gen(2, 1, -1)): -1,
         },
     )
 
@@ -443,7 +443,7 @@ def test_generator_centrality_matches_full_sweep():
     trace_square = NCPoly(
         alg3,
         [
-            ((0, (Gen(i, j, -2), Gen(j, i, -2))), 1)
+            ((Gen(i, j, -2), Gen(j, i, -2)), 1)
             for i in (1, 2, 3)
             for j in (1, 2, 3)
         ],
@@ -485,7 +485,7 @@ TRACE_PAIRING = (
 
 def test_trace_pairing_is_killed_by_e12_but_not_e21_1():
     terms, _n = TRACE_PAIRING
-    state = NCPoly(AffineAlgebra(2), {(0, w): c for w, c in terms.items()})
+    state = NCPoly(AffineAlgebra(2), terms)
     mod = vacuum_module(2)
     vec = act_poly(mod, state, V0)
     assert mod.act(Gen(1, 2, 0), vec).is_zero()
@@ -504,7 +504,7 @@ def _centrality_cases(draw):
     flipped, or one word added, of weight 0 or (for n > 1) not."""
     n = draw(st.integers(1, 4))
     ell = draw(st.integers(1, n))
-    terms = dict(ss_vectors(n).S[ell - 1].words())
+    terms = dict(ss_vectors(n).S[ell - 1]._terms)
     mutations = ["none", "flip", "add"] + (["add-weighted"] if n > 1 else [])
     mutation = draw(st.sampled_from(mutations))
     if mutation == "flip":
@@ -521,8 +521,7 @@ def _centrality_cases(draw):
         word = _path_word(rows + [end], degrees)
         coeff = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
         alg = AffineAlgebra(n)
-        mutant = NCPoly(alg, {(0, w): c for w, c in terms.items()})
-        terms = (mutant + from_word(alg, word, coeff)).words()
+        terms = (NCPoly(alg, terms) + from_word(alg, word, coeff))._terms
     return terms, n
 
 
@@ -536,14 +535,14 @@ def test_centrality_matches_vacuum_module_oracle(case):
     # and each word alone as a tuple.
     terms, n = case
     alg = AffineAlgebra(n)
-    critical = NCPoly(alg, {(0, w): c for w, c in terms.items()})
+    critical = NCPoly(alg, terms)
     expected = _central_in_vacuum_module(critical, n)
     assert _central_by_full_sweep(critical, n) == expected
     # Each word reversed, plus the normal words that make up the difference.
     reversed_words = {w[::-1]: c for w, c in terms.items()}
-    rest = critical - NCPoly(alg, {(0, w): c for w, c in reversed_words.items()})
+    rest = critical - NCPoly(alg, reversed_words)
     unsorted = dict(reversed_words)
-    _accumulate(unsorted, rest.words())
+    _accumulate(unsorted, rest._terms)
     for form in (critical, dict(terms), ModuleVector(terms), unsorted):
         assert state_is_central(form, n) == expected, (n, form)
     for word in terms:
@@ -555,7 +554,7 @@ def test_centrality_matches_vacuum_module_oracle(case):
     mod = vacuum_module(n)
     vec = act_poly(mod, critical, V0)
     for g in [Gen(i, i + 1, 0) for i in range(1, n)] + [Gen(n, 1, 1)]:
-        assert _kills_state(algebra, g, words) == mod.act(g, vec).is_zero(), (n, g)
+        assert _kills_all(algebra, (g,), words) == mod.act(g, vec).is_zero(), (n, g)
 
 
 def test_flipping_one_sign_of_a_sugawara_vector_breaks_centrality():
@@ -987,7 +986,7 @@ def test_node_degree_is_homogeneous():
     assert len(seen) > 70
     for ell, S in enumerate(ss_vectors(5).S, start=1):
         assert mod._degree(ss_nodes(5)[ell - 1]) == -ell
-        assert {sum(g.u for g in word) for (_k, word) in S._terms} == {-ell}
+        assert {sum(g.u for g in word) for word in S._terms} == {-ell}
 
 
 def test_scan_caches_no_empty_fourier_table(monkeypatch):
@@ -1082,6 +1081,22 @@ def test_module_vector_json_round_trip(terms):
 def test_module_vector_json_rejects_tau():
     with pytest.raises(ValidationError):
         ModuleVector.from_json([{"coeff": "1", "word": ["tau", "e[1,1;0]"]}])
+
+
+def test_module_vector_rejects_words_out_of_pbw_order():
+    # The constructor and from_json share one check: a word that is not a
+    # basis monomial would stand for a second, unequal copy of the same
+    # vector, and the module would act on it as if it were normal.
+    low, high = Gen(1, 1, -2), Gen(1, 1, -1)
+    with pytest.raises(ValidationError, match="not in PBW order"):
+        ModuleVector({(high, low): 1})
+    with pytest.raises(ValidationError, match="not in PBW order"):
+        ModuleVector([((Gen(2, 1, 0), Gen(1, 1, 0)), 1)])
+    vec = ModuleVector({(low, high): 1})
+    acted = RootModule(root_fn_km0(2, 1)).act(Gen(1, 1, -3), vec)
+    assert acted == ModuleVector({(Gen(1, 1, -3), low, high): 1})
+    # a state may still be given in words that are not normal
+    assert state_is_central({(high, low): 1}, 1)
 
 
 def test_module_vector_json_rejects_words_out_of_pbw_order():

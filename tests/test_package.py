@@ -27,11 +27,16 @@ def test_public_surface_resolves_and_holds_no_test_oracles():
     # Test-only oracles live under tests/, and the dead names are gone.
     for name in ("vacuum_module", "cartan_evaluate", "central_character", "Scalar",
                  "CENTRAL", "lemma_relations_bound", "CommPoly", "symbol",
-                 "commutative_char_poly_coefficients", "nc_normal_form"):
+                 "commutative_char_poly_coefficients", "nc_normal_form",
+                 "TAU", "tau_bracket"):
         assert not hasattr(critcenter, name), name
+    # tau lives in the tests' oracle; the library holds no tau.
     for layer, name in ((pbw, "CommPoly"), (pbw, "symbol"), (pbw, "nc_normal_form"),
                         (sugawara, "commutative_char_poly_coefficients"),
-                        (Gen, "is_diagonal"), (NCPoly, "from_word")):
+                        (Gen, "is_diagonal"), (NCPoly, "from_word"),
+                        (algebra, "TAU"), (algebra, "tau_bracket"),
+                        (algebra, "tau_token"), (NCPoly, "tau"),
+                        (NCPoly, "tau_component"), (NCPoly, "words")):
         assert not hasattr(layer, name), name
     assert not hasattr(RootModule, "act_poly")
     assert not hasattr(LaurentElement, "residue")

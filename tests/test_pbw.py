@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critcenter.algebra import TAU, AffineAlgebra, Gen, bracket, gen_sort_key
+from critcenter.algebra import AffineAlgebra, Gen, bracket, gen_sort_key
 from critcenter.errors import DomainError, ValidationError
 from critcenter.modules import ModuleVector, RootModule, root_fn_km0
 from critcenter.lincomb import _accumulate
 from critcenter.pbw import NCPoly, _lmul, _project_word, _straighten, hc_project
 from critcenter.sugawara import ss_vectors
-from oracles import CommPoly, from_word, symbol
+from oracles import TAU, CommPoly, TauPoly, from_word, straighten_with_tau, symbol
 
 
 def _alg(n=2):
@@ -21,13 +21,14 @@ def _alg(n=2):
 
 
 def _word_poly(alg, *tokens):
-    return NCPoly(alg, [((0, tokens), 1)])
+    return NCPoly(alg, [(tokens, 1)])
 
 
 def test_tau_straightening_matches_derivation_rule():
+    # The tests' tau product: e[1,1;-1] tau = tau e[1,1;-1] - e[1,1;-2]
     alg = _alg()
-    p = _word_poly(alg, Gen(1, 1, -1), TAU)
-    expected = NCPoly(
+    p = TauPoly(alg, {(0, (Gen(1, 1, -1), TAU)): 1})
+    expected = TauPoly(
         alg,
         {(1, (Gen(1, 1, -1),)): 1, (0, (Gen(1, 1, -2),)): -1},
     )
@@ -37,7 +38,7 @@ def test_tau_straightening_matches_derivation_rule():
 def test_commuting_cartan_word_is_stable():
     alg = _alg()
     word = (Gen(1, 1, -1), Gen(2, 2, -1))
-    assert _word_poly(alg, *word) == NCPoly(alg, {(0, word): 1})
+    assert _word_poly(alg, *word) == NCPoly(alg, {word: 1})
 
 
 def test_offdiagonal_swap_produces_bracket_correction():
@@ -46,9 +47,9 @@ def test_offdiagonal_swap_produces_bracket_correction():
     expected = NCPoly(
         alg,
         {
-            (0, (Gen(1, 2, -1), Gen(2, 1, -1))): 1,
-            (0, (Gen(2, 2, -2),)): 1,
-            (0, (Gen(1, 1, -2),)): -1,
+            (Gen(1, 2, -1), Gen(2, 1, -1)): 1,
+            (Gen(2, 2, -2),): 1,
+            (Gen(1, 1, -2),): -1,
         },
     )
     assert p == expected
@@ -56,94 +57,62 @@ def test_offdiagonal_swap_produces_bracket_correction():
 
 def test_scalar_bilinearity_and_unit():
     alg = _alg()
-    m = NCPoly.generator(alg, Gen(1, 1, -1))
-    mp = NCPoly.generator(alg, Gen(2, 2, -3))
+    m = from_word(alg, (Gen(1, 1, -1),))
+    mp = from_word(alg, (Gen(2, 2, -3),))
     assert m.scale(2) * mp.scale(3) == (m * mp).scale(6)
-    one = NCPoly.one(alg)
-    p = m * mp + NCPoly.tau(alg)
+    one = from_word(alg, ())
+    p = m * mp + from_word(alg, (Gen(2, 1, 1),))
     assert p * one == p and one * p == p
+    assert 3 * p == p * 3 == p.scale(3)
 
 
 def test_tau_times_generator_already_normal():
     alg = _alg()
-    tau = NCPoly.tau(alg)
-    g = NCPoly.generator(alg, Gen(1, 1, -1))
-    assert (tau * g).coefficient(1, (Gen(1, 1, -1),)) == 1
-
-
-def _straighten_rightmost(alg, word, coeff=Fraction(1)):
-    """Independent straightener resolving the rightmost bad pair first."""
-    out = {}
-    stack = [(coeff, tuple(word))]
-    while stack:
-        c, w = stack.pop()
-        bad = None
-        for idx in range(len(w) - 2, -1, -1):
-            x, y = w[idx], w[idx + 1]
-            if x is TAU:
-                continue
-            if y is TAU or gen_sort_key(x) > gen_sort_key(y):
-                bad = idx
-                break
-        if bad is None:
-            k = 0
-            while k < len(w) and w[k] is TAU:
-                k += 1
-            key = (k, w[k:])
-            out[key] = out.get(key, Fraction(0)) + c
-            if not out[key]:
-                del out[key]
-            continue
-        x, y = w[bad], w[bad + 1]
-        head, tail = w[:bad], w[bad + 2 :]
-        stack.append((c, head + (y, x) + tail))
-        if y is TAU:
-            if x.u:
-                stack.append((c * x.u, head + (x.shifted(-1),) + tail))
-        else:
-            lie, central = alg.bracket(x, y)
-            for g, cc in lie:
-                stack.append((c * cc, head + (g,) + tail))
-            if central:
-                stack.append((c * central, head + tail))
-    return out
+    tau = TauPoly.tau(alg)
+    g = TauPoly.generator(alg, Gen(1, 1, -1))
+    assert (tau * g)._terms == {(1, (Gen(1, 1, -1),)): 1}
+    assert (g * tau).tau_component(0) == from_word(alg, (Gen(1, 1, -2),), -1)
 
 
 def test_confluence_of_straightening():
+    # The library resolves the leftmost out-of-order pair first, the oracle
+    # the rightmost; the normal forms must agree.
     rng = random.Random(7)
     for n in (2, 3):
         alg = _alg(n)
         for _ in range(120):
-            word = []
-            for _ in range(3):
-                if rng.random() < 0.2:
-                    word.append(TAU)
-                else:
-                    word.append(
-                        Gen(rng.randint(1, n), rng.randint(1, n), rng.randint(-3, 3))
-                    )
-            word = tuple(word)
-            left = NCPoly(alg, [((0, word), 1)])
-            right = _straighten_rightmost(alg, word)
-            assert left == NCPoly(alg, right)
+            word = tuple(
+                Gen(rng.randint(1, n), rng.randint(1, n), rng.randint(-3, 3))
+                for _ in range(rng.randint(2, 4))
+            )
+            right = straighten_with_tau(alg, word)
+            assert all(k == 0 for k, _w in right)
+            assert NCPoly(alg, [(word, 1)]) == NCPoly(
+                alg, {w: c for (_k, w), c in right.items()}
+            )
 
 
 def test_nc_mul_associativity_sampled():
+    # The library product on words, and the tests' product with tau.
     rng = random.Random(11)
     alg = _alg(2)
-    def rand_poly():
+
+    def rand_terms(max_tau):
         terms = {}
         for _ in range(rng.randint(1, 2)):
-            k = rng.randint(0, 1)
+            k = rng.randint(0, max_tau)
             word = tuple(
                 Gen(rng.randint(1, 2), rng.randint(1, 2), rng.randint(-2, 2))
                 for _ in range(rng.randint(0, 2))
             )
             terms[(k, word)] = Fraction(rng.randint(-3, 3))
-        return NCPoly(alg, terms)
+        return terms
 
     for _ in range(40):
-        p, q, r = rand_poly(), rand_poly(), rand_poly()
+        p, q, r = (NCPoly(alg, {w: c for (_k, w), c in rand_terms(0).items()})
+                   for _ in range(3))
+        assert (p * q) * r == p * (q * r)
+        p, q, r = (TauPoly(alg, rand_terms(1)) for _ in range(3))
         assert (p * q) * r == p * (q * r)
 
 
@@ -154,7 +123,7 @@ def test_hc_project_examples():
     assert hc_project(fam.S[1]) == fam.omega[1]
     assert str(fam.omega[1]) == "-e[1,1;-2] + e[1,1;-1]*e[2,2;-1]"
     # a Cartan monomial survives untouched
-    mono = NCPoly.generator(alg, Gen(1, 1, -3))
+    mono = from_word(alg, (Gen(1, 1, -3),))
     assert hc_project(mono) == mono
 
 
@@ -163,10 +132,7 @@ def test_hc_project_offdiagonal_pair():
     # correction, so the canonical projection does not kill it outright,
     alg = _alg()
     p = _word_poly(alg, Gen(1, 2, -1), Gen(2, 1, -1))
-    expected = NCPoly(
-        alg,
-        {(0, (Gen(1, 1, -2),)): 1, (0, (Gen(2, 2, -2),)): -1},
-    )
+    expected = NCPoly(alg, {(Gen(1, 1, -2),): 1, (Gen(2, 2, -2),): -1})
     assert hc_project(p) == expected
     # while the element lowering first, e_21[-1] e_12[-1], projects to zero.
     q = _word_poly(alg, Gen(2, 1, -1), Gen(1, 2, -1))
@@ -176,9 +142,9 @@ def test_hc_project_offdiagonal_pair():
 def test_hc_project_domain_errors():
     alg = _alg()
     with pytest.raises(DomainError):
-        hc_project(NCPoly.generator(alg, Gen(1, 1, 0)))
+        hc_project(from_word(alg, (Gen(1, 1, 0),)))
     with pytest.raises(DomainError):
-        hc_project(NCPoly.tau(alg))
+        hc_project(from_word(alg, (Gen(2, 1, -1), Gen(1, 2, 1))))
 
 
 def _triangular_key(g):
@@ -189,14 +155,14 @@ def _triangular_key(g):
 
 
 def _triangular_straighten(alg, word, cache):
-    """Normal form of a tau-free word in the triangular PBW order, by adjacent swaps."""
+    """Normal form of a word in the triangular PBW order, by adjacent swaps."""
     hit = cache.get(word)
     if hit is not None:
         return hit
     keys = [_triangular_key(g) for g in word]
     bad = next((k for k in range(len(word) - 1) if keys[k] > keys[k + 1]), None)
     if bad is None:
-        out = {(0, word): 1}
+        out = {word: 1}
     else:
         x, y = word[bad], word[bad + 1]
         head, tail = word[:bad], word[bad + 2 :]
@@ -219,7 +185,7 @@ def _project_by_deletion(alg, terms):
         tri = _triangular_straighten(alg, word, cache)
         _accumulate(
             table,
-            {key: c2 for key, c2 in tri.items() if all(g.i == g.j for g in key[1])},
+            {key: c2 for key, c2 in tri.items() if all(g.i == g.j for g in key)},
             c,
         )
     return NCPoly._adopt(alg, table)
@@ -251,8 +217,7 @@ def test_hc_project_matches_triangular_deletion(case):
         alg, [(word, 1)]
     )
     p = from_word(alg, word, 3)
-    normal = [(w, c) for (_k, w), c in p._terms.items()]
-    assert hc_project(p) == _project_by_deletion(alg, normal)
+    assert hc_project(p) == _project_by_deletion(alg, p._terms.items())
 
 
 def _negative_gens(n):
@@ -282,10 +247,7 @@ def test_left_insertion_matches_straightening(case):
     # fresh memo and with one memo per rank shared across examples.
     n, g, word = case
     alg = AffineAlgebra(n)
-    expected = {}
-    for (k, w), c in _straighten(alg, (g,) + word).items():
-        assert k == 0
-        expected[w] = c
+    expected = _straighten(alg, (g,) + word)
     assert _lmul(alg, g, word, {}) == expected
     assert _lmul(alg, g, word, _shared_insertion_memos.setdefault(n, {})) == expected
 
@@ -318,7 +280,7 @@ def test_symbol_examples():
         }
     )
     alg = fam.S[0].algebra
-    g = NCPoly.generator(alg, Gen(2, 1, -4))
+    g = from_word(alg, (Gen(2, 1, -4),))
     assert symbol(g) == CommPoly.symbol(2, 1, -4)
 
 
@@ -341,7 +303,6 @@ def test_symbol_multiplicative_without_cancellation():
 
 _raw_terms = st.lists(
     st.tuples(
-        st.integers(0, 3),
         st.lists(st.builds(Gen, st.integers(1, 2), st.integers(1, 2), st.integers(-2, 1)),
                  max_size=3),
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -351,33 +312,33 @@ _raw_terms = st.lists(
 
 
 @given(_raw_terms)
-@example([(1, [Gen(1, 2, -1)], 1), (0, [], Fraction(-3, 2))])
-@example([(2, [Gen(2, 1, -1), Gen(2, 1, -1)], Fraction(5, 3)), (3, [], -1)])
+@example([([Gen(1, 2, -1)], 1), ([], Fraction(-3, 2))])
+@example([([Gen(2, 1, -1), Gen(2, 1, -1)], Fraction(5, 3)), ([], -1)])
 def test_json_round_trip(raw):
-    # sums of tau^k times any word (repeated factors included), straightened
+    # sums of any words (repeated factors included), straightened
     alg = _alg()
-    p = NCPoly(alg, [((k, tuple(word)), c) for k, word, c in raw])
+    p = NCPoly(alg, [(tuple(word), c) for word, c in raw])
     q = NCPoly.from_json(alg, p.to_json())
     assert q == p
     assert str(q) == str(p)
 
 
 def test_json_word_is_a_product_read_left_to_right():
-    # tau after a generator does not move to the front for free:
-    # e[1,1;-1] tau = tau e[1,1;-1] - e[1,1;-2]
+    # e[2,1;-1] e[1,2;-1] is not normal: it straightens on input, to
+    # e[1,2;-1] e[2,1;-1] + [e[2,1;-1], e[1,2;-1]]
     alg = _alg()
-    x = Gen(1, 1, -1)
-    parsed = NCPoly.from_json(alg, [{"coeff": "1", "word": ["e[1,1;-1]", "tau"]}])
-    assert parsed == NCPoly.tau(alg) * NCPoly.generator(alg, x) - NCPoly.generator(
-        alg, Gen(1, 1, -2)
+    x, y = Gen(2, 1, -1), Gen(1, 2, -1)
+    parsed = NCPoly.from_json(alg, [{"coeff": "1", "word": ["e[2,1;-1]", "e[1,2;-1]"]}])
+    assert parsed == from_word(alg, (y, x)) + NCPoly(
+        alg, {(Gen(2, 2, -2),): 1, (Gen(1, 1, -2),): -1}
     )
-    # "tau^k" is k tau factors where it stands, and "one" is skipped
-    data = [{"coeff": "-2/3", "word": ["tau^2", "one", "e[1,1;-1]", "tau"]}]
-    expected = NCPoly(alg, [((0, (TAU, TAU, x, TAU)), Fraction(-2, 3))])
-    assert NCPoly.from_json(alg, data) == expected
-    for bad in ("tau^", "tau^-1", "tau^x"):
+    # "one" is skipped
+    data = [{"coeff": "-2/3", "word": ["one", "e[2,1;-1]", "one", "e[1,2;-1]"]}]
+    assert NCPoly.from_json(alg, data) == parsed.scale(Fraction(-2, 3))
+    # tau is not a factor of an NC polynomial
+    for bad in ("tau", "tau^2", "tau^", "tau^-1", "tau^x"):
         with pytest.raises(ValidationError):
-            NCPoly.from_json(alg, [{"coeff": "1", "word": [bad]}])
+            NCPoly.from_json(alg, [{"coeff": "1", "word": [bad, "e[1,1;-1]"]}])
 
 
 def test_comm_poly_text_folds_signs():
@@ -411,7 +372,10 @@ def test_cancelling_sums_store_no_zero(a_terms, b_terms, cancel, tau_pow):
     alg = _alg(2)
 
     def poly(terms):
-        return NCPoly(alg, [((tau_pow, w), c) for w, c in terms])
+        return NCPoly(alg, terms)
+
+    def tau_poly(terms):
+        return TauPoly(alg, [((tau_pow, w), c) for w, c in terms])
 
     def comm(terms):
         return CommPoly([([(g.i, g.j, g.u) for g in w], c) for w, c in terms])
@@ -419,6 +383,7 @@ def test_cancelling_sums_store_no_zero(a_terms, b_terms, cancel, tau_pow):
     cases = [
         (ModuleVector(a_terms), ModuleVector(b_terms), ModuleVector(a_terms + b_terms)),
         (poly(a_terms), poly(b_terms), poly(a_terms + b_terms)),
+        (tau_poly(a_terms), tau_poly(b_terms), tau_poly(a_terms + b_terms)),
         (comm(a_terms), comm(b_terms), comm(a_terms + b_terms)),
     ]
     for a, b, merged in cases:
@@ -449,12 +414,12 @@ def test_fraction_coefficients_stay_exact():
 
     alg = AffineAlgebra(2)
     c = Fraction(2, 3)
-    p = NCPoly(alg, [((0, (x, y)), c)])
+    p = NCPoly(alg, [((x, y), c)])
     expected = {(y, x): c, (Gen(1, 1, 0),): c, (Gen(2, 2, 0),): -c, (): -2 * c}
-    assert p == NCPoly(alg, {(0, w): v for w, v in expected.items()})
+    assert p == NCPoly(alg, expected)
     _assert_canonical(p)
     scaled = p.scale(Fraction(3, 4))  # the constant term becomes the int -1
-    assert scaled.coefficient(0, ()) == -1
+    assert scaled.coefficient(()) == -1
     _assert_canonical(scaled)
 
     mod = RootModule(root_fn_km0(2, 1))
@@ -467,11 +432,11 @@ def test_fraction_coefficients_stay_exact():
     "build",
     [
         # a float became its binary expansion, 3602879701896397/36028797018963968
-        lambda: NCPoly(AffineAlgebra(2), {(0, (Gen(1, 1, -1),)): 0.1}),
+        lambda: NCPoly(AffineAlgebra(2), {(Gen(1, 1, -1),): 0.1}),
         # a bool was read as the coefficient 1
         lambda: ModuleVector({(): True}),
         lambda: CommPoly({(): 1.0}),
-        lambda: NCPoly.one(_alg()).scale(0.5),
+        lambda: from_word(_alg(), ()).scale(0.5),
     ],
 )
 def test_inexact_scalars_are_rejected(build):

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -18,33 +20,30 @@ from critcenter.sugawara import (
     ss_nodes,
     ss_vectors,
 )
-from oracles import CommPoly, commutative_char_poly_coefficients, symbol
+from oracles import (
+    CommPoly,
+    TauPoly,
+    commutative_char_poly_coefficients,
+    from_word,
+    symbol,
+    tau_plus_e,
+)
 
 
 def _scalar_matrix(alg, rows):
-    return [[NCPoly.one(alg).scale(v) for v in row] for row in rows]
-
-
-def _tau_plus_e(alg):
-    n = alg.n
-    tau = NCPoly.tau(alg)
-    gen = lambda i, j: NCPoly.generator(alg, Gen(i, j, -1))
-    return [
-        [tau + gen(i, j) if i == j else gen(i, j) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    return [[from_word(alg, (), v) for v in row] for row in rows]
 
 
 def test_cdet_commutative_two_by_two():
     alg = AffineAlgebra(2)
     a, b, c, d = Fraction(2), Fraction(3), Fraction(5), Fraction(7)
     m = _scalar_matrix(alg, [[a, b], [c, d]])
-    assert cdet(m) == NCPoly.one(alg).scale(a * d - c * b)
+    assert cdet(m) == from_word(alg, (), a * d - c * b)
 
 
 def test_cdet_identity_matrix():
     alg = AffineAlgebra(3)
-    one, zero = NCPoly.one(alg), NCPoly.zero(alg)
+    one, zero = from_word(alg, ()), NCPoly.zero(alg)
     m = [[one if i == j else zero for j in range(3)] for i in range(3)]
     assert cdet(m) == one
 
@@ -54,10 +53,10 @@ def test_cdet_full_rank_two_expansion():
     # normal form carries the bracket correction, landing the tau-free part
     # on -e_22[-2] rather than -e_11[-2].
     alg = ss_vectors(2).S[0].algebra
-    expansion = cdet(_tau_plus_e(alg))
+    expansion = cdet(tau_plus_e(alg))
     expected = (
-        NCPoly(alg, {(2, ()): 1})
-        + NCPoly(
+        TauPoly(alg, {(2, ()): 1})
+        + TauPoly(
             alg,
             {
                 (1, (Gen(1, 1, -1),)): 1,
@@ -78,8 +77,8 @@ def test_repeated_construction_never_mutates_cached_tables():
     import critcenter.sugawara as sugawara
 
     alg, fresh = AffineAlgebra(3), AffineAlgebra(3)
-    matrix = _tau_plus_e(alg)
-    expected = cdet(_tau_plus_e(fresh))
+    matrix = tau_plus_e(alg)
+    expected = cdet(tau_plus_e(fresh))
     square = expected * expected
     for _ in range(2):
         full = cdet(matrix)
@@ -99,27 +98,24 @@ def test_repeated_construction_never_mutates_cached_tables():
 def test_family_rank_one():
     fam = ss_vectors(1)
     alg = fam.S[0].algebra
-    assert fam.S[0] == NCPoly.generator(alg, Gen(1, 1, -1))
+    assert fam.S[0] == from_word(alg, (Gen(1, 1, -1),))
     assert fam.omega[0] == fam.S[0]
 
 
 def test_family_rank_two_vectors():
     fam = ss_vectors(2)
     alg = fam.S[0].algebra
-    assert fam.S[0] == NCPoly(
-        alg, {(0, (Gen(1, 1, -1),)): 1, (0, (Gen(2, 2, -1),)): 1}
-    )
+    assert fam.S[0] == NCPoly(alg, {(Gen(1, 1, -1),): 1, (Gen(2, 2, -1),): 1})
     assert fam.S[1] == NCPoly(
         alg,
         {
-            (0, (Gen(2, 2, -2),)): -1,
-            (0, (Gen(1, 1, -1), Gen(2, 2, -1))): 1,
-            (0, (Gen(1, 2, -1), Gen(2, 1, -1))): -1,
+            (Gen(2, 2, -2),): -1,
+            (Gen(1, 1, -1), Gen(2, 2, -1)): 1,
+            (Gen(1, 2, -1), Gen(2, 1, -1)): -1,
         },
     )
     assert fam.omega[1] == NCPoly(
-        alg,
-        {(0, (Gen(1, 1, -2),)): -1, (0, (Gen(1, 1, -1), Gen(2, 2, -1))): 1},
+        alg, {(Gen(1, 1, -2),): -1, (Gen(1, 1, -1), Gen(2, 2, -1)): 1}
     )
 
 
@@ -127,8 +123,7 @@ def test_homogeneity_and_factor_bound_up_to_rank_five():
     for n in range(1, 6):
         fam = ss_vectors(n)
         for ell, s in enumerate(fam.S, 1):
-            for (k, word), _c in s._terms.items():
-                assert k == 0
+            for word in s._terms:
                 assert sum(g.u for g in word) == -ell
                 assert len(word) <= ell
 
@@ -145,9 +140,7 @@ def test_row_property_examples():
     ok, witness = check_row_property(fam.S[1], 2)
     assert ok and witness is None
     alg = fam.S[0].algebra
-    artificial = NCPoly(
-        alg, {(0, (Gen(2, 1, -1), Gen(2, 2, -1))): 1}
-    )
+    artificial = NCPoly(alg, {(Gen(2, 1, -1), Gen(2, 2, -1)): 1})
     ok, witness = check_row_property(artificial, 2)
     assert not ok
     assert witness == (Gen(2, 1, -1), Gen(2, 2, -1))
@@ -170,9 +163,7 @@ def cartan_evaluate(p, h):
     as polynomial functions of holomorphic Cartan elements.
     """
     total = Fraction(0)
-    for (k, word), c in p._terms.items():
-        if k:
-            raise ValidationError("cannot evaluate a tau-dependent element")
+    for word, c in p._terms.items():
         value = c
         for g in word:
             if g.i != g.j or g.u >= 0:
@@ -198,6 +189,23 @@ def test_omega_functional_matches_miura_constant_term():
                 assert cartan_evaluate(fam.omega[ell - 1], h) == chi.a[
                     ell - 1
                 ].coefficient(0), (n, ell)
+
+
+def test_omega_recurrence_matches_the_tau_product():
+    # ss_vectors builds omega by the commutative recurrence; the oracle
+    # multiplies (tau + e_11[-1]) ... (tau + e_nn[-1]) out with tau and
+    # straightens every product.
+    for n in range(1, 7):
+        family = ss_vectors(n)
+        alg = family.S[0].algebra
+        product = reduce(mul, (
+            TauPoly.tau(alg) + TauPoly.generator(alg, Gen(i, i, -1))
+            for i in range(1, n + 1)
+        ))
+        assert max(k for k, _w in product._terms) == n
+        assert product.tau_component(n) == from_word(alg, ())
+        for ell in range(1, n + 1):
+            assert family.omega[ell - 1] == product.tau_component(n - ell), (n, ell)
 
 
 def test_symbol_reference_oracle_small():
@@ -232,7 +240,7 @@ def test_minor_table_expands_to_the_sugawara_vectors():
     # permutation-sum determinant is the independent oracle.
     for n in (1, 2, 3, 4, 5):
         family = ss_vectors(n)
-        expansion = cdet(_tau_plus_e(family.S[0].algebra))
+        expansion = cdet(tau_plus_e(family.S[0].algebra))
         nodes = ss_nodes(n)
         assert len(nodes) == n
         for ell, (node, S) in enumerate(zip(nodes, family.S), 1):
