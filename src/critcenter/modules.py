@@ -31,6 +31,9 @@ first-column minor table of cdet(tau + E[-1]) (``sugawara.ss_nodes``), a
 sum of terms coef * x[-m-1] * child whose children are nodes again.  The
 vanishing scan reads each S_l, and its certified bound, from its node and
 never straightens it into PBW words; the straightened S_l is the test oracle.
+The recursion runs on plain {word: coeff} tables of creation monomials;
+a ModuleVector wraps a table only at the public edge, in ``fourier_act``
+and ``act``.
 
 Both sums are truncated by certified annihilation bounds derived from the
 basic vanishing rule: a word x_{n_1} ... x_{n_k} kills v_0 whenever
@@ -70,19 +73,14 @@ from .sugawara import MinorNode, ss_nodes
 from .diffop import Oper, irregularity
 
 
-def _gbinom(top, k):
-    """binom(top, k) for any integer top and k >= 0, as an exact integer."""
-    if k < 0:
-        return 0
-    value = 1
-    for step in range(k):
-        value *= top - step
-    return value // math.factorial(k)
-
-
 def _field_mode(head, m, p):
-    """The mode x[p - m] and coefficient (-1)^m binom(p, m) of (x[-m-1])_(p)."""
-    return Gen(head.i, head.j, p - m), (-1) ** (m % 2) * _gbinom(p, m)
+    """The mode x[p - m] and coefficient (-1)^m binom(p, m) of (x[-m-1])_(p).
+
+    For p < 0 the coefficient is binom(m - p - 1, m); for p >= 0 it is
+    (-1)^m binom(p, m), which is 0 for p < m.
+    """
+    c = math.comb(m - p - 1, m) if p < 0 else (-1) ** (m % 2) * math.comb(p, m)
+    return Gen(head.i, head.j, p - m), c
 
 
 class RootFunction:
@@ -399,9 +397,11 @@ class RootModule:
             self._degrees[word] = degree
         return degree
 
-    def word_annihilation_bound(self, word, vec):
-        """Certified N with word_(s) vec = 0 for all s >= N.
+    def annihilation_bound(self, state, vec):
+        """Certified N with state_(s) vec = 0 for all s >= N.
 
+        The field of a state is the sum of its words' fields, so the bound
+        is the largest over words and over the creation monomials of vec.
         For a nonempty word x_{n_1} ... x_{n_k} acting on a creation
         monomial, every expansion term is a word of generator modes summing
         to sum n_i + s + 1, so the basic vanishing rule kills everything as
@@ -411,7 +411,7 @@ class RootModule:
         bound: reordering corrections inside a field expansion can land
         exactly on the boundary.
 
-        ``word`` may also be a MinorNode.  Its depth W is the largest, over
+        A word may also be a MinorNode.  Its depth W is the largest, over
         its terms (coef, head, child), of r(head) - u(head) + W(child), where
         a tau term counts as W(child) and W(()) = 0.  Expanding the node's
         products gives words head * w with w a word of the child, so by
@@ -421,7 +421,8 @@ class RootModule:
         node with W = 0 reaches () through tau terms only: it is a multiple
         of the vacuum, of degree 0, and acts only at s = -1.
         """
-        return max((self._depth_rule(word, mono) for mono in vec._terms), default=0)
+        words = _field_states(state)
+        return max((self._depth_rule(w, mono) for w in words for mono in vec._terms), default=0)
 
     def _depth_rule(self, word, mono):
         """W(word) - 1 + shift(mono) + slack; 0 for a vacuum field (W = 0), acting at -1."""
@@ -439,13 +440,6 @@ class RootModule:
             return min(bound, -self._degree(word) - self._degree(mono))
         return bound
 
-    def annihilation_bound(self, state, vec):
-        """Certified N with state_(s) vec = 0 for all s >= N."""
-        words = _field_states(state)
-        if not words:
-            return 0
-        return max(self.word_annihilation_bound(w, vec) for w in words)
-
     # -- Fourier action ------------------------------------------------------
 
     def fourier_act(self, state, s, vec):
@@ -456,26 +450,30 @@ class RootModule:
         """
         table = {}
         for word, c in _field_states(state).items():
-            _accumulate(table, self._fourier_word(word, s, vec)._terms, c)
+            _accumulate(table, self._fourier_word(word, s, vec._terms), c)
         return ModuleVector._adopt(table)
 
-    def _fourier_word(self, word, s, vec):
-        """word_(s) vec by the field recursion in the module docstring.
+    def _fourier_word(self, word, s, terms):
+        """word_(s) applied to the {monomial: coeff} table ``terms``, as a table.
 
-        ``word`` is a word or a MinorNode.  word_(s) is linear in vec, so it
-        is expanded once per unit monomial of ``vec`` (cached under
-        ``(word, s, monomial)``) and those tables are summed with vec's
-        coefficients: exact by linearity, and each expansion is truncated by
-        its own monomial's certified bounds.
+        ``word`` is a word or a MinorNode.  word_(s) is linear in its
+        argument, so it is expanded once per unit monomial of ``terms``
+        (cached under ``(word, s, monomial)``) and those tables are summed
+        with the coefficients of ``terms``: exact by linearity, and each
+        expansion is truncated by its own monomial's certified bounds.
 
         A monomial with s >= ``_zero_from(word, monomial)`` gives 0; it is
         skipped, neither expanded nor cached.
+
+        Tables passed in and returned are shared and read-only: the empty
+        word returns ``terms`` itself, and ``terms`` may be a table that a
+        cache holds.  Sums go into a fresh table, as ``_accumulate`` asks.
         """
         if not word:
-            return vec if s == -1 else ModuleVector.zero()
+            return terms if s == -1 else {}
         cache = self._fourier_cache
         total = {}
-        for mono, c in vec._terms.items():
+        for mono, c in terms.items():
             key = (word, s, mono)
             table = cache.get(key)
             if table is None:
@@ -483,7 +481,7 @@ class RootModule:
                     continue
                 table = cache[key] = self._fourier_expand(word, s, mono)
             _accumulate(total, table, c)
-        return ModuleVector._adopt(total)
+        return total
 
     def _fourier_expand(self, word, s, mono):
         """The table of word_(s) mono for a nonempty word or a node and a unit monomial.
@@ -492,25 +490,24 @@ class RootModule:
         coef * head * child, or coef * child for a tau term (head None).  A
         word is the one-term state (1, word[0], word[1:]).
         """
-        vec = ModuleVector._adopt({mono: 1})
+        unit = {mono: 1}
         terms = word.terms if type(word) is MinorNode else ((1, word[0], word[1:]),)
         total = {}
         for coef, head, tail in terms:
             if head is None:
-                _accumulate(total, self._fourier_word(tail, s, vec)._terms, coef)
+                _accumulate(total, self._fourier_word(tail, s, unit), coef)
                 continue
             m = -head.u - 1
             # creation side: p <= -1, head mode p - m applied after the tail field
             for p in range(s - self._zero_from(tail, mono), 0):
-                inner = self._fourier_word(tail, s - p - 1, vec)
-                if inner.is_zero():
-                    continue
-                mode, c = _field_mode(head, m, p)
-                _accumulate(total, self.act(mode, inner)._terms, coef * c)
+                inner = self._fourier_word(tail, s - p - 1, unit)
+                if inner:
+                    mode, c = _field_mode(head, m, p)
+                    moved = self.act(mode, ModuleVector._adopt(inner))
+                    _accumulate(total, moved._terms, coef * c)
             # annihilation side: p >= m, head acts first
             for p, c, moved in self._moves(head, mono):
-                inner = self._fourier_word(tail, s - p - 1, moved)
-                _accumulate(total, inner._terms, coef * c)
+                _accumulate(total, self._fourier_word(tail, s - p - 1, moved), coef * c)
         return total
 
     def _moves(self, head, mono):
@@ -518,23 +515,23 @@ class RootModule:
 
         These are the modes x[p - m] for m <= p < ``_zero_from((head,), mono)``
         (the binomial vanishes below m) that do not kill the unit monomial
-        ``mono``.  The field of the one-factor word (head,) is
-        (head,)_(p) = c_p x[p - m], with c_p nonzero for p >= m, so its rule
-        bounds the moves: the depth part is m + r(head) + shift(mono) + slack,
-        as W((head,)) = r(head) + m + 1, and the cut m + 1 - deg(mono).  The
-        moves depend on neither s nor the rest of the state, so they are
-        cached under ``(head, mono)``.
+        ``mono``; each moved vector is kept as its table.  The field of the
+        one-factor word (head,) is (head,)_(p) = c_p x[p - m], with c_p
+        nonzero for p >= m, so its rule bounds the moves: the depth part is
+        m + r(head) + shift(mono) + slack, as W((head,)) = r(head) + m + 1,
+        and the cut m + 1 - deg(mono).  The moves depend on neither s nor
+        the rest of the state, so they are cached under ``(head, mono)``.
         """
         hit = self._move_cache.get((head, mono))
         if hit is not None:
             return hit
-        vec = ModuleVector._adopt({mono: 1})
+        unit = ModuleVector._adopt({mono: 1})
         m = -head.u - 1
         moves = []
         for p in range(m, self._zero_from((head,), mono)):
             mode, c = _field_mode(head, m, p)
-            moved = self.act(mode, vec)
-            if not moved.is_zero():
+            moved = self.act(mode, unit)._terms
+            if moved:
                 moves.append((p, c, moved))
         moves = self._move_cache[head, mono] = tuple(moves)
         return moves
@@ -664,22 +661,19 @@ def _straightens_to_zero(algebra, raw):
     return not out
 
 
-def _derive(algebra, g, word, c, left, raw):
-    """Add c * left * [g, word] v_0 to raw as words of negative-degree factors."""
-    for i, x in enumerate(word):
-        lie, central = algebra.bracket(g, x)
-        if lie or central:
-            _add_bracket(algebra, lie, central, c, left + word[:i], word[i + 1 :], raw)
-
-
 def _add_bracket(algebra, lie, central, c, pre, post, raw):
     """Add c * pre [g, x] post v_0 to raw, with [g, x] = (lie, central).
 
-    A loop term of degree >= 0 kills v_0, so ``_derive`` expands it again.
+    A loop term h of degree >= 0 kills v_0, so h post v_0 = [h, post] v_0,
+    which expands factor by factor by this same rule.
     """
     for h, c2 in lie:
         if h.u >= 0:
-            _derive(algebra, h, post, c * c2, pre, raw)
+            for i, y in enumerate(post):
+                lie2, central2 = algebra.bracket(h, y)
+                if lie2 or central2:
+                    left, right = pre + post[:i], post[i + 1 :]
+                    _add_bracket(algebra, lie2, central2, c * c2, left, right, raw)
         else:
             key = pre + (h,) + post
             raw[key] = raw.get(key, 0) + c * c2

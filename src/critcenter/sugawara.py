@@ -227,14 +227,6 @@ def _cartan_product(n):
 
     the recurrence of ``diffop.miura`` over another differential ring.
     """
-
-    def add(table, word, c):
-        c += table.get(word, 0)
-        if c:
-            table[word] = c
-        else:
-            del table[word]
-
     coeffs = [{(): 1}]
     for i in range(1, n + 1):
         x = Gen(i, i, -1)
@@ -242,10 +234,10 @@ def _cartan_product(n):
         for j, c in enumerate(coeffs):
             _accumulate(nxt[j + 1], c)
             for word, a in c.items():
-                add(nxt[j], tuple(sorted(word + (x,))), a)
+                _accumulate(nxt[j], {tuple(sorted(word + (x,))): a})
                 for p, g in enumerate(word):  # -T e_ii[r] = r e_ii[r-1]
                     shifted = word[:p] + (g.shifted(-1),) + word[p + 1 :]
-                    add(nxt[j], tuple(sorted(shifted)), a * g.u)
+                    _accumulate(nxt[j], {tuple(sorted(shifted)): a}, g.u)
         coeffs = nxt
     return coeffs
 

@@ -4,6 +4,7 @@ pytest's default import mode puts ``tests/`` on ``sys.path``, so a test
 imports these as ``from oracles import vacuum_module``.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -35,6 +36,16 @@ def lemma_relations_bound(word, rf):
         degrees += g.u
         depths += rf(g.i, g.j)
     return degrees >= depths
+
+
+def gbinom(top, k):
+    """binom(top, k) for any integer top and k >= 0, by the falling factorial."""
+    if k < 0:
+        return 0
+    value = 1
+    for step in range(k):
+        value *= top - step
+    return value // math.factorial(k)
 
 
 def from_word(algebra, word, coeff=1):

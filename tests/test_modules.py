@@ -1,5 +1,6 @@
 """Root modules, Fourier-coefficient actions, and the vanishing machinery."""
 
+import copy
 import random
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ from critcenter.modules import (
     RootFunction,
     RootModule,
     _critical_words,
-    _gbinom,
+    _field_mode,
     _kills_all,
     conductor_irregularity_report,
     root_fn_constant,
@@ -28,7 +29,7 @@ from critcenter.modules import (
 )
 from critcenter.pbw import NCPoly
 from critcenter.sugawara import ss_nodes, ss_vectors
-from oracles import from_word, lemma_relations_bound, vacuum_module
+from oracles import from_word, gbinom, lemma_relations_bound, vacuum_module
 
 V0 = ModuleVector.vacuum()
 
@@ -384,7 +385,7 @@ def test_borcherds_commutator_expansion():
             if inner.is_zero():
                 continue
             shifted = mod.fourier_act(inner, s + x.u - p, v)
-            rhs = rhs + shifted.scale(_gbinom(s, p))
+            rhs = rhs + shifted.scale(gbinom(s, p))
         assert lhs == rhs, (word, x, s)
 
 
@@ -638,6 +639,45 @@ def test_repeated_actions_never_mutate_cached_tables():
         assert mod._act_cache[key] == table
     for key, table in fourier_snapshot.items():
         assert mod._fourier_cache[key] == table
+
+
+@pytest.mark.parametrize(
+    "rf", [root_fn_km0(4, 2), root_fn_constant(3, 1)], ids=["km0-n4-m2", "congruence-n3-m1"]
+)
+def test_scan_cells_leave_shared_tables_intact(rf):
+    # The field recursion hands cached tables around by reference; a second
+    # pass over every scan cell must read them unchanged, and no vector it
+    # returns may own a table that a cache holds.
+    mod = RootModule(rf)
+    cells = [
+        (node, N)
+        for ell, node in enumerate(ss_nodes(rf.n), start=1)
+        for N in range(rf.threshold(ell) - 3, mod._zero_from(node, ()))
+    ]
+    first = [mod.fourier_act(node, N, V0) for node, N in cells]
+    caches = (mod._act_cache, mod._fourier_cache, mod._move_cache)
+    snapshots = [{key: copy.deepcopy(value) for key, value in c.items()} for c in caches]
+    second = [mod.fourier_act(node, N, V0) for node, N in cells]
+    assert second == first
+    assert any(not v.is_zero() for v in first)
+    for cache, snapshot in zip(caches, snapshots):
+        for key, value in snapshot.items():
+            assert cache[key] == value, key
+    held = {id(table) for table in mod._act_cache.values()}
+    held |= {id(table) for table in mod._fourier_cache.values()}
+    held |= {id(moved) for moves in mod._move_cache.values() for _p, _c, moved in moves}
+    assert not any(id(v._terms) in held for v in first + second)
+
+
+def test_field_mode_coefficient_is_signed_generalized_binomial():
+    # math.comb takes no negative top, so p < 0 goes through
+    # (-1)^m binom(p, m) = binom(m - p - 1, m); check both branches.
+    for m in range(7):
+        head = Gen(1, 2, -m - 1)
+        for p in range(-10, 11):
+            mode, c = _field_mode(head, m, p)
+            assert mode == Gen(1, 2, p - m)
+            assert c == (-1) ** m * gbinom(p, m), (m, p)
 
 
 def test_centrality_on_module_vectors():
