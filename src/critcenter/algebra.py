@@ -109,6 +109,14 @@ def bracket(a, b, n):
     return [(g, c) for g, c in terms.items() if c], central
 
 
+def check_rank(n):
+    """Reject a rank that is not an int (a bool is not one) of at least 1."""
+    if type(n) is not int:
+        raise ValidationError(f"rank must be an integer, got {n!r}")
+    if n < 1:
+        raise ValidationError("rank must be at least 1")
+
+
 class AffineAlgebra:
     """Context object: affine gl_n of rank n at the critical level.
 
@@ -118,8 +126,7 @@ class AffineAlgebra:
     """
 
     def __init__(self, n):
-        if n < 1:
-            raise ValidationError("rank must be at least 1")
+        check_rank(n)
         self.n = n
         self._straighten_cache = {}
         self._bracket_cache = {}

@@ -399,7 +399,17 @@ def cyclic_vector_search(conn, degree_bound=3):
 def connection_to_oper(conn, vector, working_precision=None):
     """Solve D^n v = a_1 D^{n-1} v + ... + a_n v by Cramer's rule.
 
-    Components of the cyclic vector must be exact (finite) Laurent elements.
+    Components of the cyclic vector may be truncated (``O(t^p)``).  Every
+    sum and product then follows the Laurent precision rules (the images
+    and minors through ``LaurentElement.dot``, each quotient through
+    ``divide``), so each a_l comes back with the precision below which the
+    given coefficients determine it: there it agrees with the oper of every
+    vector that agrees with v below its components' precisions, the exact
+    one included.  A determinant that is zero up to its precision has no
+    known valuation and raises ``UndeterminedValuationError``; one whose
+    precision leaves no term of its inverse raises
+    ``PrecisionExhaustedError``.
+
     The certificate determinant and the n numerators are read from one minor
     table over the augmented matrix (W_{n-1}, ..., W_0 | W_n) of the scaled
     images W_k = L^k D^k v (``Connection._images``, which for the vector a

@@ -8,10 +8,10 @@ vector v_0 with e_ij[u].v_0 = 0 for u >= r(i, j), and has a PBW basis of
 ordered creation monomials (factors e_ij[u] with u < r(i, j), sorted by
 degree then index) applied to v_0.
 
-Generators act by straightening: annihilators commute rightwards through a
-creation word until they reach v_0, collecting bracket and central terms on
-the way; at the critical level the central element acts as 1 and all results
-are exact.
+Generators act by left insertion (``pbw._insert``, on the root function's
+depth table): annihilators commute rightwards through a creation word until
+they reach v_0, collecting bracket and central terms on the way; at the
+critical level the central element acts as 1 and all results are exact.
 
 States (vacuum-module vectors, i.e. words of negative-degree generators) act
 through their fields.  The field of x[-m-1] is the m-th divided z-derivative
@@ -64,11 +64,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import AffineAlgebra, Gen, word_from_tokens
+from .algebra import AffineAlgebra, Gen, check_rank, word_from_tokens
 from .errors import DomainError, ValidationError
 from .laurent import LaurentElement
 from .lincomb import LinComb, _accumulate, canonical, scalar_from_str
-from .pbw import NCPoly, _straighten
+from .pbw import NCPoly, _insert, _straighten
 from .sugawara import MinorNode, ss_nodes
 from .diffop import Oper, irregularity
 
@@ -83,12 +83,24 @@ def _field_mode(head, m, p):
     return Gen(head.i, head.j, p - m), c
 
 
+class _DepthTable(dict):
+    """r(i, j) keyed by (i, j); an index outside 1..n raises ValidationError."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, key):
+        raise ValidationError(f"index {key} outside 1..{self.n}")
+
+
 class RootFunction:
     """Depth function r(i, j) on the full index square {1..n}^2."""
 
     def __init__(self, n, values, kind="custom", params=None, _allow_zero_diagonal=False):
+        check_rank(n)
         self.n = n
-        self._values = {}
+        self._values = _DepthTable(n)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 try:
@@ -118,10 +130,7 @@ class RootFunction:
                         )
 
     def __call__(self, i, j):
-        try:
-            return self._values[(i, j)]
-        except KeyError:
-            raise ValidationError(f"index {(i, j)} outside 1..{self.n}") from None
+        return self._values[i, j]
 
     def __eq__(self, other):
         if not isinstance(other, RootFunction):
@@ -163,25 +172,22 @@ def _check_depth(m, name):
         raise DomainError(f"{name} m must be positive")
 
 
+def _square(n, depth):
+    """{(i, j): depth(i, j)} over {1..n}^2, for a valid rank n."""
+    check_rank(n)
+    return {(i, j): depth(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+
+
 def root_fn_constant(n, m):
     """r(i, j) = m everywhere: the congruence subalgebra t^m gl_n[[t]]."""
     _check_depth(m, "congruence depth")
-    values = {(i, j): m for i in range(1, n + 1) for j in range(1, n + 1)}
-    return RootFunction(n, values, "constant", {"m": m})
+    return RootFunction(n, _square(n, lambda i, j: m), "constant", {"m": m})
 
 
 def root_fn_km0(n, m):
     """Depth m on the whole bottom row, 0 on the last column above it, 1 elsewhere."""
     _check_depth(m, "conductor depth")
-    values = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == n:
-                values[(i, j)] = m
-            elif j == n:
-                values[(i, j)] = 0
-            else:
-                values[(i, j)] = 1
+    values = _square(n, lambda i, j: m if i == n else 0 if j == n else 1)
     return RootFunction(n, values, "km0", {"m": m})
 
 
@@ -204,14 +210,13 @@ def root_fn_moy_prasad(n, x, r):
         raise ValidationError("point must have one coordinate per row")
     if r < 0:
         raise ValidationError("depth parameter r must be nonnegative")
-    values = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                values[(i, j)] = 1 + math.floor(r)
-            else:
-                values[(i, j)] = 1 - math.ceil(x[i - 1] - x[j - 1] - r)
-    return RootFunction(n, values, "moy-prasad", {"x": tuple(x), "r": r})
+
+    def depth(i, j):
+        if i == j:
+            return 1 + math.floor(r)
+        return 1 - math.ceil(x[i - 1] - x[j - 1] - r)
+
+    return RootFunction(n, _square(n, depth), "moy-prasad", {"x": tuple(x), "r": r})
 
 
 class ModuleVector(LinComb):
@@ -293,9 +298,7 @@ class RootModule:
         self._depths = {}
         self._degrees = {}
         # The degree cut of the module docstring needs every r(i, j) <= 1.
-        self._degree_cut = all(
-            rf(i, j) <= 1 for i in range(1, rf.n + 1) for j in range(1, rf.n + 1)
-        )
+        self._degree_cut = max(rf._values.values()) <= 1
         # The basic vanishing rule (degree sum >= depth sum kills v_0) needs
         # positive diagonal depths: a central contraction removes a pair of
         # opposite factors of total degree zero and total depth at least
@@ -307,9 +310,6 @@ class RootModule:
 
     # -- creation data -----------------------------------------------------
 
-    def is_creation(self, g):
-        return g.u < self.rf(g.i, g.j)
-
     def creation_shift(self, vec):
         """max over monomials of sum (r(i,j) - u) over factors; 0 for v_0."""
         return max(0, max(map(self._depth, vec._terms), default=0))
@@ -317,42 +317,14 @@ class RootModule:
     # -- generator action --------------------------------------------------
 
     def act(self, g, vec):
-        """Exact action of e_ij[u] on a module vector, in creation-basis form."""
+        """Exact action of e_ij[u] on a module vector, by ``pbw._insert``."""
         if not isinstance(g, Gen):
             raise ValidationError("act expects a loop generator")
+        algebra, depths, cache = self.algebra, self.rf._values, self._act_cache
         out = {}
         for word, c in vec._terms.items():
-            _accumulate(out, self._act_word(g, word), c)
+            _accumulate(out, _insert(algebra, depths, g, word, cache), c)
         return ModuleVector._adopt(out)
-
-    def _act_word(self, g, word):
-        key = (g, word)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
-        creation = self.is_creation(g)
-        if not word:
-            result = {(g,): 1} if creation else {}
-            self._act_cache[key] = result
-            return result
-        head = word[0]
-        if creation and g <= head:
-            result = {(g,) + word: 1}
-            self._act_cache[key] = result
-            return result
-        # g h = h g + [g, h]
-        tail = word[1:]
-        out = {}
-        moved = self._act_word(g, tail)
-        for w, c in moved.items():
-            _accumulate(out, self._act_word(head, w), c)
-        lie, central = self.algebra.bracket(g, head)
-        for gen2, c in lie:
-            _accumulate(out, self._act_word(gen2, tail), c)
-        if central:
-            _accumulate(out, {tail: central})
-        self._act_cache[key] = out
-        return out
 
     def act_word(self, word, vec):
         """Apply a word of generators, rightmost factor first."""
@@ -734,6 +706,8 @@ def vanishing_report(n, rf, scan_window=3):
     """
     if rf.n != n:
         raise ValidationError("root function rank does not match n")
+    if type(scan_window) is not int:
+        raise ValidationError(f"scan window must be an integer, got {scan_window!r}")
     if scan_window < 0:
         raise ValidationError(f"scan window must be nonnegative, got {scan_window}")
     mod = RootModule(rf)

@@ -47,39 +47,40 @@ def _straighten(algebra, word):
     return out
 
 
-def _lmul(algebra, g, word, memo):
-    """Normal form of g * word for a normal word, as {word: coeff}.
+def _insert(algebra, depths, g, word, memo):
+    """g * word * v_0 in a root module, for a normal creation word, as {word: coeff}.
 
-    Inserts g from the left: it is prepended when it does not exceed the
-    first factor h, and otherwise
+    ``depths`` maps (i, j) to r(i, j), so e_ij[u] is a creation factor when
+    u < r(i, j) and kills v_0 otherwise.  g is prepended when it does not
+    exceed the first factor h and is a creation factor; an annihilator that
+    reaches v_0 gives 0; otherwise
 
         g (h w') = h (g w') + [g, h] w',
 
-    with the central scalar of [g, h] times w' among the bracket terms.
-    Here g w' is normal again, and h is inserted into each of its words in
-    turn.  ``memo`` holds the result per (generator, word) and is owned by
-    the caller; its values are shared and never mutated.  Equal to
-    ``_straighten(algebra, (g,) + word)``, without straightening whole
-    words or filling the algebra's cache.
-
-    ``RootModule._act_word`` runs the same insertion on module words, but
-    also branches on the root function's creation test (an annihilator is
-    carried through to v_0); kept apart, this one has no such branch.
+    with the central scalar of [g, h] times w' among the bracket terms, and
+    h is inserted into each word of g w' in turn.  ``memo`` holds the result
+    per (generator, word) and is owned by the caller; its values are shared
+    and never mutated.  The all-zero table is the vacuum module: for g of
+    negative degree every generator met is a creation factor, and the result
+    is ``_straighten(algebra, (g,) + word)``, computed without straightening
+    whole words or filling the algebra's cache (``sugawara.ss_vectors``).
     """
     key = (g, word)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if not word or g <= word[0]:
+    if (not word or g <= word[0]) and g.u < depths[g.i, g.j]:
         result = {(g,) + word: 1}
+    elif not word:
+        result = {}
     else:
         head, tail = word[0], word[1:]
         result = {}
-        for w, c in _lmul(algebra, g, tail, memo).items():
-            _accumulate(result, _lmul(algebra, head, w, memo), c)
+        for w, c in _insert(algebra, depths, g, tail, memo).items():
+            _accumulate(result, _insert(algebra, depths, head, w, memo), c)
         lie, central = algebra.bracket(g, head)
         for h, c in lie:
-            _accumulate(result, _lmul(algebra, h, tail, memo), c)
+            _accumulate(result, _insert(algebra, depths, h, tail, memo), c)
         if central:
             _accumulate(result, {tail: central})
     memo[key] = result

@@ -41,9 +41,10 @@ MinorNode: a sum of terms (coef, head, child), the product state
 coef * head * child (head None for the tau term).  The scan reads its
 Fourier modes as written, since the field of a product state is the normally
 ordered product of its factors' fields.  ``ss_vectors`` multiplies it out
-by left insertion (``pbw._lmul``): head * child becomes the normal form of
-the head inserted into each normal word of the child, so no whole word is
-straightened and no product of NCPolys is formed.
+by left insertion in the vacuum module (``pbw._insert`` with every depth
+0): head * child becomes the normal form of the head inserted into each
+normal word of the child, so no whole word is straightened and no product
+of NCPolys is formed.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from .algebra import AffineAlgebra, Gen
+from .algebra import AffineAlgebra, Gen, check_rank
 from .errors import ValidationError
 from .lincomb import _accumulate
-from .pbw import NCPoly, _lmul
+from .pbw import NCPoly, _insert
 
 
 def _perm_sign(perm):
@@ -120,8 +121,7 @@ _minor_cache = {}
 
 def ss_nodes(n):
     """S_1..S_n as nodes of the memoised first-column minor table (module docstring)."""
-    if n < 1:
-        raise ValidationError("rank must be at least 1")
+    check_rank(n)
     cached = _minor_cache.get(n)
     if cached is not None:
         return cached
@@ -175,16 +175,17 @@ def ss_vectors(n):
 
     Every node is expanded once, into {word: coeff} over normal words: a
     term coef * head * child inserts its head into each word of the child's
-    expansion from the left (``pbw._lmul``).  The expansions
-    and the insertion memo are local to the call, so neither outlives the
-    construction.
+    expansion from the left, in the vacuum module (``pbw._insert`` with
+    every depth 0; each head e_ic[-1-q] has negative degree, so this is the
+    normal form of the product).  The expansions and the insertion memo are
+    local to the call, so neither outlives the construction.
     """
-    if n < 1:
-        raise ValidationError("rank must be at least 1")
+    check_rank(n)
     cached = _family_cache.get(n)
     if cached is not None:
         return cached
     algebra = AffineAlgebra(n)
+    vacuum = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1)}
     expansions = {(): {(): 1}}
     memo = {}
 
@@ -198,7 +199,9 @@ def ss_vectors(n):
                     _accumulate(table, sub, coef)
                 else:
                     for word, c in sub.items():
-                        _accumulate(table, _lmul(algebra, head, word, memo), coef * c)
+                        _accumulate(
+                            table, _insert(algebra, vacuum, head, word, memo), coef * c
+                        )
             expansions[node] = table
         return table
 

@@ -14,7 +14,7 @@ import pytest
 
 from critcenter import __version__
 from critcenter.cli import run
-from critcenter.diffop import Connection, Oper
+from critcenter.diffop import Connection, Oper, connection_to_oper, cyclic_vector_search
 from critcenter.laurent import LaurentElement as L
 from critcenter.modules import ModuleVector
 
@@ -459,3 +459,28 @@ def test_oper_nonpositive_precision_names_the_order_given(capsys, precision):
     assert data["error"] == "PrecisionExhaustedError"
     assert f"order {precision}" in data["message"]
     assert "None" not in data["message"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rank", (2, 3, 4))
+def test_truncated_cyclic_vector_gives_an_agreeing_oper(rank, seed):
+    # connection_to_oper takes truncated components: each a_l keeps the
+    # coefficients the truncated vector determines, and they are the exact
+    # oper's.
+    conn = Connection.from_json(BENCHMARK_INPUTS.oper_payload(seed, 0, rank))
+    found = cyclic_vector_search(conn)
+    exact = connection_to_oper(conn, found)
+    for precision in (2, 4, 8):
+        chi = connection_to_oper(conn, [c.truncate(precision) for c in found.components])
+        assert all(a.precision is not None and list(a.items()) for a in chi.a)
+        assert all(a.agrees_with(b) for a, b in zip(chi.a, exact.a)), precision
+
+
+def test_oper_with_a_vector_zero_to_its_precision_exits_2(capsys):
+    payload = {
+        "connection": {"matrix": [[{"terms": [[0, "1"]]}]]},
+        "vector": [{"terms": [], "precision": 2}],
+    }
+    code, out, err = _run(capsys, "oper", "--data", json.dumps(payload))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "UndeterminedValuationError"

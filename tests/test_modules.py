@@ -130,6 +130,44 @@ def test_root_function_depths_must_be_ints(build, args):
         build(*args)
 
 
+_KM0_2 = root_fn_km0(2, 1)
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (ss_vectors, (2.0,), "rank must be an integer"),
+        (ss_vectors, (True,), "rank must be an integer"),
+        (ss_nodes, (2.0,), "rank must be an integer"),
+        (ss_nodes, (True,), "rank must be an integer"),
+        (AffineAlgebra, ("3",), "rank must be an integer"),
+        (AffineAlgebra, (True,), "rank must be an integer"),
+        (RootFunction, (2.0, _depths(1)), "rank must be an integer"),
+        (root_fn_km0, (2.0, 1), "rank must be an integer"),
+        (root_fn_constant, (True, 1), "rank must be an integer"),
+        (root_fn_moy_prasad, (2.0, [0, 0], 0), "rank must be an integer"),
+        (ss_nodes, (0,), "rank must be at least 1"),
+        (AffineAlgebra, (-1,), "rank must be at least 1"),
+        (root_fn_km0, (0, 1), "rank must be at least 1"),
+        (vanishing_report, (2, _KM0_2, 1.5), "scan window must be an integer"),
+        (vanishing_report, (2, _KM0_2, True), "scan window must be an integer"),
+        (vanishing_report, (2, _KM0_2, -1), "scan window must be nonnegative"),
+    ],
+    ids=[
+        "ss_vectors-float", "ss_vectors-bool", "ss_nodes-float", "ss_nodes-bool",
+        "algebra-string", "algebra-bool", "rootfunction-float", "km0-float",
+        "constant-bool", "moyprasad-float", "ss_nodes-0", "algebra-negative", "km0-0",
+        "window-float", "window-bool", "window-negative",
+    ],
+)
+def test_rank_and_scan_window_are_checked_ints(build, args, message):
+    # One rank check (an int, not a bool, at least 1) serves the algebra,
+    # the Sugawara layer and the root functions; the scan window is an int
+    # >= 0.  None of them may surface as a bare TypeError.
+    with pytest.raises(ValidationError, match=message):
+        build(*args)
+
+
 def test_root_function_rejects_a_zero_diagonal():
     values = {(i, j): 0 for i in (1, 2) for j in (1, 2)}
     with pytest.raises(ValidationError):
@@ -147,6 +185,16 @@ def test_indices_outside_the_rank_are_validation_errors():
         mod.act(Gen(3, 1, 0), V0)
     with pytest.raises(ValidationError):
         mod.fourier_act({(Gen(3, 1, -1),): 1}, 0, V0)
+
+
+def test_out_of_range_factor_reached_by_insertion_is_a_validation_error():
+    # e_11[0] passes e_33[-1], which is then inserted into (e_11[0],): the
+    # engine reads r(3, 3) from the root function's depth table, and that
+    # lookup raises ValidationError, not KeyError.
+    mod = RootModule(root_fn_km0(2, 1))
+    vec = ModuleVector({(Gen(3, 3, -1),): 1})
+    with pytest.raises(ValidationError, match=r"index \(3, 3\) outside 1\.\.2"):
+        mod.act(Gen(1, 1, 0), vec)
 
 
 # -- generator action --------------------------------------------------------

@@ -39,6 +39,10 @@ def test_public_surface_resolves_and_holds_no_test_oracles():
                         (NCPoly, "tau_component"), (NCPoly, "words")):
         assert not hasattr(layer, name), name
     assert not hasattr(RootModule, "act_poly")
+    # One left-insertion engine, pbw._insert, serves S_l and the root modules.
+    assert not hasattr(pbw, "_lmul")
+    assert not hasattr(RootModule, "_act_word")
+    assert not hasattr(RootModule, "is_creation")
     assert not hasattr(LaurentElement, "residue")
     assert not hasattr(errors, "UndeterminedResidueError")
     # The Fourier recursion has one mode: no trace keyword, no whole-vector path.

@@ -11,9 +11,11 @@ from critcenter.algebra import AffineAlgebra, Gen, bracket, gen_sort_key
 from critcenter.errors import DomainError, ValidationError
 from critcenter.modules import ModuleVector, RootModule, root_fn_km0
 from critcenter.lincomb import _accumulate
-from critcenter.pbw import NCPoly, _lmul, _project_word, _straighten, hc_project
+from critcenter.pbw import NCPoly, _insert, _project_word, _straighten, hc_project
 from critcenter.sugawara import ss_vectors
-from oracles import TAU, CommPoly, TauPoly, from_word, straighten_with_tau, symbol
+from oracles import (
+    TAU, CommPoly, TauPoly, from_word, straighten_with_tau, symbol, vacuum_module,
+)
 
 
 def _alg(n=2):
@@ -243,13 +245,32 @@ _shared_insertion_memos = {}
 @example((3, Gen(3, 1, -1), (Gen(1, 2, -3), Gen(2, 3, -2), Gen(1, 3, -1))))
 @example((2, Gen(1, 2, 1), (Gen(2, 1, -1), Gen(2, 2, -1))))  # a central term
 def test_left_insertion_matches_straightening(case):
-    # _lmul(g, word) is the normal form of g * word for a normal word, with a
-    # fresh memo and with one memo per rank shared across examples.
+    # With every depth out of reach every factor is a creation factor, so
+    # _insert(g, word) is the normal form of g * word for a normal word, for
+    # g of any degree, with a fresh memo and with one memo per rank shared
+    # across examples.
     n, g, word = case
     alg = AffineAlgebra(n)
+    deep = {(i, j): 10**9 for i in range(1, n + 1) for j in range(1, n + 1)}
     expected = _straighten(alg, (g,) + word)
-    assert _lmul(alg, g, word, {}) == expected
-    assert _lmul(alg, g, word, _shared_insertion_memos.setdefault(n, {})) == expected
+    assert _insert(alg, deep, g, word, {}) == expected
+    memo = _shared_insertion_memos.setdefault(n, {})
+    assert _insert(alg, deep, g, word, memo) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_insertions)
+@example((2, Gen(2, 1, -1), (Gen(1, 2, -2), Gen(1, 2, -1), Gen(2, 1, -1))))
+def test_vacuum_insertion_matches_vacuum_module_action(case):
+    # The all-zero depth table is the vacuum module: for a head of negative
+    # degree, inserting it equals the oracle module's action, and both equal
+    # the normal form of the product.
+    n, g, word = case
+    alg = AffineAlgebra(n)
+    vacuum = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1)}
+    expected = vacuum_module(n).act(g, ModuleVector({word: 1}))._terms
+    assert _insert(alg, vacuum, g, word, {}) == expected
+    assert expected == _straighten(alg, (g,) + word)
 
 
 def test_hc_project_of_ss_is_omega_at_ranks_5_and_6():
