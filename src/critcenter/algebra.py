@@ -120,9 +120,10 @@ def check_rank(n):
 class AffineAlgebra:
     """Context object: affine gl_n of rank n at the critical level.
 
-    Carries the straightening cache used by the PBW layer and a bracket
-    cache, so that repeated normal-form computations against one algebra are
-    shared.
+    Carries a bracket cache, and the straightening cache that ``NCPoly``'s
+    constructor and product share (its ``"deglex"`` table).  The chain's
+    stages fill neither that table nor any other on the algebra: each
+    straightens and projects with a memo local to its call.
     """
 
     def __init__(self, n):

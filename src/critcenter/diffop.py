@@ -269,30 +269,11 @@ def _cofactor_minors(rows, orders):
                   for e, s in zip(row, shifts)] for row in rows]
         zero = 0
     memo = {}  # column suffix -> {remaining rows: minor}
-
-    def minor(live, cols):
-        if len(cols) == 1:
-            return table[live[0]][cols[0]]
-        known = memo.setdefault(cols, {})
-        total = known.get(live)
-        if total is not None:
-            return total
-        rest = cols[1:]
-        total = zero
-        for pos, r in enumerate(live):
-            entry = table[r][cols[0]]
-            if entry == zero:
-                continue
-            cofactor = minor(live[:pos] + live[pos + 1 :], rest)
-            total = total + entry * (-cofactor if pos % 2 else cofactor)
-        known[live] = total
-        return total
-
     live = tuple(range(len(rows)))
     orders = [tuple(order) for order in orders]
     out = []
     for j, order in enumerate(orders):
-        value = minor(live, order)
+        value = _minor(table, memo, zero, live, order)
         if exact:
             value = _unpack(value, width, sum(shifts[c] for c in order))
         out.append(value)
@@ -301,6 +282,30 @@ def _cofactor_minors(rows, orders):
         for cols in memo.keys() - later:
             del memo[cols]
     return out
+
+
+def _minor(table, memo, zero, live, cols):
+    """The minor of ``table`` on the rows ``live`` and the columns ``cols``.
+
+    Expanded along its first column; ``memo`` (column suffix -> {rows:
+    minor}) is owned by the caller, so no closure keeps it alive.
+    """
+    if len(cols) == 1:
+        return table[live[0]][cols[0]]
+    known = memo.setdefault(cols, {})
+    total = known.get(live)
+    if total is not None:
+        return total
+    rest = cols[1:]
+    total = zero
+    for pos, r in enumerate(live):
+        entry = table[r][cols[0]]
+        if entry == zero:
+            continue
+        cofactor = _minor(table, memo, zero, live[:pos] + live[pos + 1 :], rest)
+        total = total + entry * (-cofactor if pos % 2 else cofactor)
+    known[live] = total
+    return total
 
 
 def _unpack(value, width, shift):

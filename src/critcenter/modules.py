@@ -577,9 +577,10 @@ def state_is_central(state, n):
 
     The state may be an NCPoly, a dict, a tuple or a ModuleVector; only a
     dict or a tuple can hold words that are not normal.  An NCPoly over a
-    rank-n algebra lends its caches; any other state is expanded over a
-    fresh ``AffineAlgebra(n)``.  All n generators are derived in one walk
-    over the state's words (``_kills_all``).
+    rank-n algebra lends its bracket cache; any other state is expanded
+    over a fresh ``AffineAlgebra(n)``.  All n generators are derived in one
+    walk over the state's words (``_kills_all``).  No straightening memo
+    outlives the call.
     """
     algebra, words = _critical_words(state, n)
     generators = [Gen(i, i + 1, 0) for i in range(1, n)] + [Gen(n, 1, 1)]
@@ -605,7 +606,9 @@ def _kills_all(algebra, generators, words):
     that a walk for that generator alone would.  A table local to the call
     maps each distinct factor x to the generators g with [g, x] != 0, so
     each position costs one lookup, not one bracket per generator.  The raw
-    sums are straightened one by one, stopping at the first that is not 0.
+    sums are straightened one by one, stopping at the first that is not 0,
+    each with a memo of its own (``_straightens_to_zero``): one memo shared
+    by the n sums peaks higher, for no gain in time.
     """
     raws = [{} for _ in generators]
     partners = {}
@@ -626,10 +629,10 @@ def _kills_all(algebra, generators, words):
 
 
 def _straightens_to_zero(algebra, raw):
-    out = {}
+    out, memo = {}, {}
     for word, c in raw.items():
         if c:
-            _accumulate(out, _straighten(algebra, word), c)
+            _accumulate(out, _straighten(algebra, word, memo), c)
     return not out
 
 
@@ -658,6 +661,10 @@ def ss_operator_act(n, ell, N, rf):
     """Apply the N-th Fourier coefficient of S_l, from its node, to v_0."""
     if rf.n != n:
         raise ValidationError("root function rank does not match n")
+    if type(ell) is not int:
+        raise ValidationError(f"component index must be an integer, got {ell!r}")
+    if type(N) is not int:
+        raise ValidationError(f"Fourier mode must be an integer, got {N!r}")
     if not 1 <= ell <= n:
         raise ValidationError(f"component index {ell} out of range 1..{n}")
     mod = RootModule(rf)

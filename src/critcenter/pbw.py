@@ -20,30 +20,32 @@ from .errors import DomainError, ValidationError
 from .lincomb import LinComb, _accumulate, canonical
 
 
-def _straighten(algebra, word):
+def _straighten(algebra, word, memo):
     """Normal form of a raw word (a tuple of Gen) as {word: int or Fraction}.
 
-    Cached per algebra.
+    ``memo`` holds the normal form per word and is owned by the caller, as
+    for ``_insert``: a call-local dict dies with its call, and ``NCPoly``
+    passes the algebra's ``"deglex"`` table.  Its values are shared and
+    never mutated.
     """
-    cache = algebra._straighten_cache.setdefault("deglex", {})
-    hit = cache.get(word)
+    hit = memo.get(word)
     if hit is not None:
         return hit
     bad = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
     if bad is None:
-        cache[word] = result = {word: 1}
+        memo[word] = result = {word: 1}
         return result
 
     x, y = word[bad], word[bad + 1]
     head, tail = word[:bad], word[bad + 2 :]
     out = {}
-    _accumulate(out, _straighten(algebra, head + (y, x) + tail))
+    _accumulate(out, _straighten(algebra, head + (y, x) + tail, memo))
     lie, central = algebra.bracket(x, y)
     for g, c in lie:
-        _accumulate(out, _straighten(algebra, head + (g,) + tail), c)
+        _accumulate(out, _straighten(algebra, head + (g,) + tail, memo), c)
     if central:
-        _accumulate(out, _straighten(algebra, head + tail), central)
-    cache[word] = out
+        _accumulate(out, _straighten(algebra, head + tail, memo), central)
+    memo[word] = out
     return out
 
 
@@ -62,8 +64,8 @@ def _insert(algebra, depths, g, word, memo):
     per (generator, word) and is owned by the caller; its values are shared
     and never mutated.  The all-zero table is the vacuum module: for g of
     negative degree every generator met is a creation factor, and the result
-    is ``_straighten(algebra, (g,) + word)``, computed without straightening
-    whole words or filling the algebra's cache (``sugawara.ss_vectors``).
+    is the normal form of (g,) + word (``_straighten``), computed without
+    straightening whole words (``sugawara.ss_vectors``).
     """
     key = (g, word)
     hit = memo.get(key)
@@ -96,11 +98,12 @@ class NCPoly(LinComb):
         self.algebra = algebra
         table = {}
         if terms:
+            memo = algebra._straighten_cache.setdefault("deglex", {})
             items = terms.items() if isinstance(terms, dict) else terms
             for word, coeff in items:
                 coeff = canonical(coeff)
                 if coeff:
-                    _accumulate(table, _straighten(algebra, tuple(word)), coeff)
+                    _accumulate(table, _straighten(algebra, tuple(word), memo), coeff)
         self._terms = table
 
     @classmethod
@@ -130,10 +133,11 @@ class NCPoly(LinComb):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
+        memo = self.algebra._straighten_cache.setdefault("deglex", {})
         table = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                _accumulate(table, _straighten(self.algebra, w1 + w2), c1 * c2)
+                _accumulate(table, _straighten(self.algebra, w1 + w2, memo), c1 * c2)
         return NCPoly._adopt(self.algebra, table)
 
     __rmul__ = __mul__
@@ -144,10 +148,11 @@ class NCPoly(LinComb):
         return cls(algebra, [(word, c) for c, word in terms])
 
 
-def _project_word(algebra, word):
+def _project_word(algebra, word, memo):
     """The Cartan projection of a word of negative-degree generators.
 
-    Returns {cartan_word: coeff}, memoised per algebra.  A word A x B
+    Returns {cartan_word: coeff}, memoised in ``memo``, which the caller
+    owns (``hc_project`` passes a dict local to its call).  A word A x B
     whose leftmost lower-triangular factor is x equals
     x A B + sum_k A_<k [A_k, x] A_>k B, and x A B lies in n_- U, so the
     word projects as its bracket terms: shorter words, again of negative
@@ -158,8 +163,7 @@ def _project_word(algebra, word):
     [e_kk[v], e_ij[u]] is upper for i < j), and projects to 0.  A word with
     neither is all-Cartan, its factors commute, and it projects to itself.
     """
-    cache = algebra._straighten_cache.setdefault("triangular", {})
-    hit = cache.get(word)
+    hit = memo.get(word)
     if hit is not None:
         return hit
     low = next((k for k, g in enumerate(word) if g.i > g.j), None)
@@ -172,8 +176,8 @@ def _project_word(algebra, word):
         for k in range(low):
             pre, post = word[:k], word[k + 1 : low] + rest
             for g, c in algebra.bracket(word[k], x)[0]:
-                _accumulate(out, _project_word(algebra, pre + (g,) + post), c)
-    cache[word] = out
+                _accumulate(out, _project_word(algebra, pre + (g,) + post, memo), c)
+    memo[word] = out
     return out
 
 
@@ -197,11 +201,13 @@ def hc_project(p):
     upper-triangular lies in U n_+, and both project to 0 at once.
     ``_project_word`` reduces each word by moving its lower factors out to
     the left end, keeping only the bracket terms; its survivors are
-    all-Cartan.
+    all-Cartan.  Its memo is local to the call: brackets keep the degree,
+    so the words met for one S_l (degree -l) are never met for another,
+    and a table kept past the call would only hold memory.
     """
-    table = {}
+    table, memo = {}, {}
     for word, c in p._terms.items():
         if any(g.u >= 0 for g in word):
             raise DomainError("projection undefined: nonnegative-degree factor")
-        _accumulate(table, _project_word(p.algebra, word), c)
+        _accumulate(table, _project_word(p.algebra, word, memo), c)
     return NCPoly._adopt(p.algebra, table)

@@ -173,12 +173,10 @@ def ss_vectors(n):
     """The central vectors S_l, each its ``ss_nodes`` node multiplied out,
     and their omega_l.
 
-    Every node is expanded once, into {word: coeff} over normal words: a
-    term coef * head * child inserts its head into each word of the child's
-    expansion from the left, in the vacuum module (``pbw._insert`` with
-    every depth 0; each head e_ic[-1-q] has negative degree, so this is the
-    normal form of the product).  The expansions and the insertion memo are
-    local to the call, so neither outlives the construction.
+    Every node is expanded once (``_expand``).  The expansions and the
+    insertion memo are local to the call and reach no closure, so both are
+    freed by reference counting when it returns, with no wait for a
+    garbage-collection pass.
     """
     check_rank(n)
     cached = _family_cache.get(n)
@@ -188,30 +186,40 @@ def ss_vectors(n):
     vacuum = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1)}
     expansions = {(): {(): 1}}
     memo = {}
-
-    def expand(node):
-        table = expansions.get(node)
-        if table is None:
-            table = {}
-            for coef, head, child in node.terms:
-                sub = expand(child)
-                if head is None:  # a tau term contributes coef * child
-                    _accumulate(table, sub, coef)
-                else:
-                    for word, c in sub.items():
-                        _accumulate(
-                            table, _insert(algebra, vacuum, head, word, memo), coef * c
-                        )
-            expansions[node] = table
-        return table
-
-    S = [NCPoly._adopt(algebra, expand(node)) for node in ss_nodes(n)]
+    S = [
+        NCPoly._adopt(algebra, _expand(algebra, vacuum, node, expansions, memo))
+        for node in ss_nodes(n)
+    ]
     products = _cartan_product(n)
     omega = [NCPoly._adopt(algebra, products[n - ell]) for ell in range(1, n + 1)]
 
     family = SSFamily(n, S, omega)
     _family_cache[n] = family
     return family
+
+
+def _expand(algebra, vacuum, node, expansions, memo):
+    """The node multiplied out, as {normal word: coeff}, memoised in ``expansions``.
+
+    A term coef * head * child inserts its head into each word of the
+    child's expansion from the left, in the vacuum module (``pbw._insert``
+    on ``vacuum``, the all-zero depth table, with the caller's ``memo``);
+    each head e_ic[-1-q] has negative degree, so this is the normal form of
+    the product.
+    """
+    table = expansions.get(node)
+    if table is None:
+        table = {}
+        for coef, head, child in node.terms:
+            sub = _expand(algebra, vacuum, child, expansions, memo)
+            if head is None:  # a tau term contributes coef * child
+                _accumulate(table, sub, coef)
+            else:
+                for word, c in sub.items():
+                    inserted = _insert(algebra, vacuum, head, word, memo)
+                    _accumulate(table, inserted, coef * c)
+        expansions[node] = table
+    return table
 
 
 def _cartan_product(n):

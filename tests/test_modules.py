@@ -786,6 +786,12 @@ def test_rank_mismatch_is_a_validation_error():
             call(2, 1, 0, root_fn_km0(3, 1))
 
 
+@pytest.mark.parametrize("ell, N", [(1.0, 1), (1, 1.5), (True, 1)])
+def test_ss_operator_act_rejects_non_int_arguments(ell, N):
+    with pytest.raises(ValidationError):
+        ss_operator_act(2, ell, N, root_fn_km0(2, 1))
+
+
 def test_conductor_thresholds_beyond_required_grid():
     # Cheap extra coverage at larger parameters.
     for (n, m) in [(3, 2), (4, 1)]:

@@ -215,9 +215,8 @@ def test_hc_project_matches_triangular_deletion(case):
     # factors.
     n, word = case
     alg = AffineAlgebra(n)
-    assert NCPoly._adopt(alg, dict(_project_word(alg, word))) == _project_by_deletion(
-        alg, [(word, 1)]
-    )
+    projected = _project_word(alg, word, {})
+    assert NCPoly._adopt(alg, dict(projected)) == _project_by_deletion(alg, [(word, 1)])
     p = from_word(alg, word, 3)
     assert hc_project(p) == _project_by_deletion(alg, p._terms.items())
 
@@ -252,7 +251,7 @@ def test_left_insertion_matches_straightening(case):
     n, g, word = case
     alg = AffineAlgebra(n)
     deep = {(i, j): 10**9 for i in range(1, n + 1) for j in range(1, n + 1)}
-    expected = _straighten(alg, (g,) + word)
+    expected = _straighten(alg, (g,) + word, {})
     assert _insert(alg, deep, g, word, {}) == expected
     memo = _shared_insertion_memos.setdefault(n, {})
     assert _insert(alg, deep, g, word, memo) == expected
@@ -270,7 +269,7 @@ def test_vacuum_insertion_matches_vacuum_module_action(case):
     vacuum = {(i, j): 0 for i in range(1, n + 1) for j in range(1, n + 1)}
     expected = vacuum_module(n).act(g, ModuleVector({word: 1}))._terms
     assert _insert(alg, vacuum, g, word, {}) == expected
-    assert expected == _straighten(alg, (g,) + word)
+    assert expected == _straighten(alg, (g,) + word, {})
 
 
 def test_hc_project_of_ss_is_omega_at_ranks_5_and_6():
