@@ -31,7 +31,8 @@ class Gen(_GenFields):
     """The loop generator e_ij[u] = e_ij tensor t^u (1-based i, j).
 
     Built as ``Gen(i, j, u)`` from three ints, and stored as the tuple
-    (u, i, j), so generators compare in the PBW order of ``gen_sort_key``.
+    (u, i, j), so generators compare in PBW order: degree first, then (i, j)
+    lexicographic.  ``_make`` and so ``_replace`` go through the constructor.
     """
 
     __slots__ = ()
@@ -46,8 +47,10 @@ class Gen(_GenFields):
     def __getnewargs__(self):
         return self.i, self.j, self.u
 
-    def _replace(self, **changes):
-        return Gen(**{"i": self.i, "j": self.j, "u": self.u, **changes})
+    @classmethod
+    def _make(cls, fields):
+        u, i, j = fields
+        return cls(i, j, u)
 
     def __repr__(self):
         return f"e[{self.i},{self.j};{self.u}]"
@@ -69,14 +72,6 @@ def gen_from_str(token):
 def word_from_tokens(tokens):
     """The factors of a JSON word, a product read left to right; "one" is none."""
     return tuple(gen_from_str(t) for t in map(str.strip, tokens) if t != "one")
-
-
-def gen_sort_key(g):
-    """Total order on loop generators: degree first, then (i, j) lexicographic.
-
-    ``Gen`` tuples compare in this order already; the key spells it out.
-    """
-    return (g.u, g.i, g.j)
 
 
 def killing_form(n, a, b):
@@ -121,8 +116,8 @@ class AffineAlgebra:
     """Context object: affine gl_n of rank n at the critical level.
 
     Carries a bracket cache, and the straightening cache that ``NCPoly``'s
-    constructor and product share (its ``"deglex"`` table).  The chain's
-    stages fill neither that table nor any other on the algebra: each
+    constructor and product share, {raw word: normal form}.  The chain's
+    stages fill no table on the algebra but the bracket cache: each
     straightens and projects with a memo local to its call.
     """
 

@@ -230,8 +230,7 @@ def _cofactor_minors(rows, orders):
     textbook recursion does.  Minors are shared through one table keyed by
     (remaining columns, remaining rows), so orders that end in the same
     column suffix reuse each other's sub-minors: n 2^(n-1) products per
-    order instead of n!.  After each order, the minors of suffixes that no
-    later order ends in are dropped.
+    order instead of n!.  The table lives for the call.
 
     If every entry is exact with int coefficients, as the callers' scaled
     images of an integral vector are, the same recursion runs on ints by
@@ -268,32 +267,26 @@ def _cofactor_minors(rows, orders):
         table = [[sum(c << width * (k - s) for k, c in e._coeff.items())
                   for e, s in zip(row, shifts)] for row in rows]
         zero = 0
-    memo = {}  # column suffix -> {remaining rows: minor}
+    memo = {}
     live = tuple(range(len(rows)))
-    orders = [tuple(order) for order in orders]
     out = []
-    for j, order in enumerate(orders):
+    for order in map(tuple, orders):
         value = _minor(table, memo, zero, live, order)
         if exact:
             value = _unpack(value, width, sum(shifts[c] for c in order))
         out.append(value)
-        # keep peak memory down: drop the minors no later order ends in
-        later = {o[k:] for o in orders[j + 1 :] for k in range(len(o))}
-        for cols in memo.keys() - later:
-            del memo[cols]
     return out
 
 
 def _minor(table, memo, zero, live, cols):
     """The minor of ``table`` on the rows ``live`` and the columns ``cols``.
 
-    Expanded along its first column; ``memo`` (column suffix -> {rows:
-    minor}) is owned by the caller, so no closure keeps it alive.
+    Expanded along its first column, and memoised in ``memo`` on
+    ``(cols, live)``; the caller owns ``memo``.
     """
     if len(cols) == 1:
         return table[live[0]][cols[0]]
-    known = memo.setdefault(cols, {})
-    total = known.get(live)
+    total = memo.get((cols, live))
     if total is not None:
         return total
     rest = cols[1:]
@@ -304,7 +297,7 @@ def _minor(table, memo, zero, live, cols):
             continue
         cofactor = _minor(table, memo, zero, live[:pos] + live[pos + 1 :], rest)
         total = total + entry * (-cofactor if pos % 2 else cofactor)
-    known[live] = total
+    memo[cols, live] = total
     return total
 
 

@@ -18,16 +18,16 @@ from .errors import ValidationError
 
 
 def canonical(value):
-    """An exact scalar as an int when integral, else as a Fraction.
+    """An int or a Fraction, as an int when integral.
 
-    A float or a bool is not an exact scalar and raises ValidationError.
+    Any other value raises ValidationError: a float, a bool, a Decimal or a
+    string is not an exact scalar here.  Text goes through
+    ``scalar_from_str``.
     """
     if type(value) is int:
         return value
     if type(value) is not Fraction:
-        if isinstance(value, (float, bool)):
-            raise ValidationError(f"scalar must be exact, got {value!r}")
-        value = Fraction(value)
+        raise ValidationError(f"scalar must be an int or a Fraction, got {value!r}")
     return value.numerator if value.denominator == 1 else value
 
 
@@ -110,12 +110,7 @@ class LinComb:
             for key, c in items:
                 c = canonical(c)
                 if c:
-                    key = self._key(key)
-                    c = canonical(c + table.get(key, 0))
-                    if c:
-                        table[key] = c
-                    else:
-                        del table[key]
+                    _accumulate(table, {self._key(key): c})
         self._terms = table
 
     @classmethod

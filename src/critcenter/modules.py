@@ -223,8 +223,8 @@ class ModuleVector(LinComb):
     """Finite exact combination of ordered creation monomials applied to v_0.
 
     A word given to the constructor (or read by ``from_json``) must be a
-    basis monomial: loop generators in nondecreasing PBW order
-    (``gen_sort_key``), as ``RootModule.act`` writes them.
+    basis monomial: loop generators in nondecreasing PBW order (the order
+    in which ``Gen`` tuples compare), as ``RootModule.act`` writes them.
     """
 
     __slots__ = ()

@@ -25,7 +25,7 @@ def _straighten(algebra, word, memo):
 
     ``memo`` holds the normal form per word and is owned by the caller, as
     for ``_insert``: a call-local dict dies with its call, and ``NCPoly``
-    passes the algebra's ``"deglex"`` table.  Its values are shared and
+    passes the algebra's ``_straighten_cache``.  Its values are shared and
     never mutated.
     """
     hit = memo.get(word)
@@ -98,7 +98,7 @@ class NCPoly(LinComb):
         self.algebra = algebra
         table = {}
         if terms:
-            memo = algebra._straighten_cache.setdefault("deglex", {})
+            memo = algebra._straighten_cache
             items = terms.items() if isinstance(terms, dict) else terms
             for word, coeff in items:
                 coeff = canonical(coeff)
@@ -133,7 +133,7 @@ class NCPoly(LinComb):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        memo = self.algebra._straighten_cache.setdefault("deglex", {})
+        memo = self.algebra._straighten_cache
         table = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():

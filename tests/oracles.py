@@ -5,6 +5,7 @@ imports these as ``from oracles import vacuum_module``.
 """
 
 import math
+import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -75,16 +76,20 @@ def tau_bracket(x):
     return [(x.shifted(-1), -x.u)]
 
 
+_TAU_MEMO = weakref.WeakKeyDictionary()  # algebra -> {word: normal form}
+
+
 def straighten_with_tau(algebra, word):
     """Normal form {(tau power, normal word): coeff} of a word over TAU and Gen.
 
     Resolves the rightmost out-of-order pair first, where the library's
     ``pbw._straighten`` takes the leftmost: x y -> y x + [x, y] for two
     generators, and x tau -> tau x - [tau, x], so every tau ends up on the
-    left.  Memoised in the algebra's straightening cache under "tau"; the
-    values are shared and never mutated.
+    left.  Memoised per algebra in a table of the oracle's own, so it never
+    reads the library's straightening cache; the values are shared and never
+    mutated.
     """
-    memo = algebra._straighten_cache.setdefault("tau", {})
+    memo = _TAU_MEMO.setdefault(algebra, {})
     hit = memo.get(word)
     if hit is not None:
         return hit

@@ -13,7 +13,6 @@ from critcenter.algebra import (
     Gen,
     bracket,
     gen_from_str,
-    gen_sort_key,
     killing_form,
 )
 from critcenter.errors import ValidationError
@@ -70,7 +69,7 @@ def test_generator_token_round_trip():
 def test_generator_layout_keeps_the_constructor_and_sorts_in_pbw_order():
     # Gen(i, j, u) is stored as (u, i, j): the constructor, attributes, text
     # and equality are those of e_ij[u], and plain tuple order is the PBW
-    # order of gen_sort_key.
+    # order: degree first, then (i, j) lexicographic.
     g = Gen(2, 3, -4)
     assert (g.i, g.j, g.u) == (2, 3, -4)
     assert repr(g) == "e[2,3;-4]"
@@ -88,9 +87,13 @@ def test_generator_layout_keeps_the_constructor_and_sorts_in_pbw_order():
         Gen(i, j, u) for i in range(1, 4) for j in range(1, 4) for u in range(-3, 4)
     ]
     random.Random(5).shuffle(gens)
-    assert sorted(gens) == sorted(gens, key=gen_sort_key)
+
+    def pbw_key(g):
+        return g.u, g.i, g.j
+
+    assert sorted(gens) == sorted(gens, key=pbw_key)
     for a, b in product(gens[:40], repeat=2):
-        assert (a < b) == (gen_sort_key(a) < gen_sort_key(b))
+        assert (a < b) == (pbw_key(a) < pbw_key(b))
 
 
 def test_generator_fields_must_be_ints():
@@ -109,6 +112,11 @@ def test_generator_fields_must_be_ints():
             Gen(*fields)
     with pytest.raises(ValidationError):
         Gen(1, 2, -1)._replace(u=0.5)
+    # NamedTuple's _make builds from the stored fields (u, i, j); it must go
+    # through the constructor too, not hand back a float degree.
+    with pytest.raises(ValidationError):
+        Gen._make((0.5, 1, 2))
+    assert Gen._make((-1, 1, 2)) == Gen(1, 2, -1)
 
 
 def test_algebra_bracket_is_memoised_and_immutable():

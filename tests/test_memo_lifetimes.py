@@ -47,4 +47,4 @@ def test_chain_and_oper_stages_leave_no_cyclic_garbage():
         if saved is not None:
             sugawara._family_cache[n] = saved
     caches = family.S[0].algebra._straighten_cache
-    assert not caches.get("deglex") and not caches.get("triangular"), caches.keys()
+    assert not caches, len(caches)

@@ -39,6 +39,8 @@ def test_public_surface_resolves_and_holds_no_test_oracles():
                         (NCPoly, "tau_component"), (NCPoly, "words")):
         assert not hasattr(layer, name), name
     assert not hasattr(RootModule, "act_poly")
+    # Gen tuples compare in PBW order, so no sort key spells it out.
+    assert not hasattr(algebra, "gen_sort_key")
     # One left-insertion engine, pbw._insert, serves S_l and the root modules.
     assert not hasattr(pbw, "_lmul")
     assert not hasattr(RootModule, "_act_word")

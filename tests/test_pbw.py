@@ -1,16 +1,18 @@
 """Straightening engine, Cartan projection, and associated-graded symbols."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from critcenter.algebra import AffineAlgebra, Gen, bracket, gen_sort_key
+from critcenter.algebra import AffineAlgebra, Gen, bracket
 from critcenter.errors import DomainError, ValidationError
+from critcenter.laurent import LaurentElement
 from critcenter.modules import ModuleVector, RootModule, root_fn_km0
-from critcenter.lincomb import _accumulate
+from critcenter.lincomb import _accumulate, canonical
 from critcenter.pbw import NCPoly, _insert, _project_word, _straighten, hc_project
 from critcenter.sugawara import ss_vectors
 from oracles import (
@@ -55,6 +57,19 @@ def test_offdiagonal_swap_produces_bracket_correction():
         },
     )
     assert p == expected
+
+
+def test_straightening_cache_is_one_table_of_words():
+    # NCPoly's constructor and product share one {raw word: normal form}
+    # table on the algebra, with no per-order level; the tests' tau oracle
+    # keeps its own.
+    alg = _alg()
+    x, y = Gen(2, 1, -1), Gen(1, 2, -1)
+    _word_poly(alg, x) * _word_poly(alg, y)
+    TauPoly.tau(alg) * TauPoly.generator(alg, x)
+    cache = alg._straighten_cache
+    assert (x, y) in cache
+    assert all(type(w) is tuple and all(type(g) is Gen for g in w) for w in cache)
 
 
 def test_scalar_bilinearity_and_unit():
@@ -229,9 +244,7 @@ _insertions = st.integers(1, 4).flatmap(
     lambda n: st.tuples(
         st.just(n),
         _negative_gens(n),
-        st.lists(_negative_gens(n), max_size=5).map(
-            lambda w: tuple(sorted(w, key=gen_sort_key))
-        ),
+        st.lists(_negative_gens(n), max_size=5).map(lambda w: tuple(sorted(w))),
     )
 )
 
@@ -373,7 +386,7 @@ def test_comm_poly_text_folds_signs():
 _words = st.lists(
     st.builds(Gen, st.integers(1, 2), st.integers(1, 2), st.integers(-2, 1)),
     max_size=2,
-).map(lambda w: tuple(sorted(w, key=gen_sort_key)))
+).map(lambda w: tuple(sorted(w)))
 _terms = st.lists(
     st.tuples(
         _words,
@@ -462,3 +475,25 @@ def test_fraction_coefficients_stay_exact():
 def test_inexact_scalars_are_rejected(build):
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize("value", ["1/2", "1e5", Decimal("0.5")], ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        canonical,
+        lambda c: LaurentElement({0: c}),
+        lambda c: ModuleVector({(): c}),
+        lambda c: NCPoly(AffineAlgebra(2), {(Gen(1, 1, -1),): c}),
+        lambda c: ModuleVector.vacuum().scale(c),
+        lambda c: LaurentElement.one().scale(c),
+    ],
+    ids=["canonical", "LaurentElement", "ModuleVector", "NCPoly", "LinComb.scale",
+         "LaurentElement.scale"],
+)
+def test_only_int_and_fraction_are_scalars(build, value):
+    # A string or a Decimal was parsed by Fraction(value): "1e5" became
+    # 100000, and "1e999999999" would build 10**999999999.  Text is read by
+    # scalar_from_str alone.
+    with pytest.raises(ValidationError):
+        build(value)
