@@ -64,10 +64,8 @@ def _root_function(case, n, m, x=None, r=None):
         return root_fn_constant(n, m)
     if case == "km0":
         return root_fn_km0(n, m)
-    if case == "moyprasad":
-        point = [0] * n if x is None else x.split(",")
-        return root_fn_moy_prasad(n, point, m - 1 if r is None else r)
-    raise ValidationError(f"unknown case {case!r}; pick one of {CASES}")
+    point = [0] * n if x is None else x.split(",")
+    return root_fn_moy_prasad(n, point, m - 1 if r is None else r)
 
 
 def cmd_ss(args):
@@ -114,10 +112,8 @@ def cmd_miura(args):
     from .laurent import LaurentElement
 
     payload = _load_payload(args)
-    if isinstance(payload, dict) and "h" in payload:
-        payload = payload["h"]
     if not isinstance(payload, list):
-        raise ValidationError("miura payload is a list of Laurent elements (or {'h': [...]})")
+        raise ValidationError("miura payload is a list of Laurent elements")
     h = [LaurentElement.from_json(entry) for entry in payload]
     chi = miura(h)
     _emit(args, chi.to_json(), lambda: f"oper: {chi}")

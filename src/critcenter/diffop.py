@@ -346,11 +346,12 @@ def certificate_determinant(conn, vector):
 def cyclic_vector_search(conn, degree_bound=3):
     """Deterministic search for a cyclic vector with polynomial components.
 
-    Tries the standard basis vectors, then sums of distinct basis vectors
-    with staggered powers t^{k*i}, then an exhaustive enumeration of
-    monomial-supported candidates within the degree bound.  A candidate
-    counts only when its certificate determinant has a known nonzero term:
-    one that is zero up to its precision certifies nothing.
+    Tries sums of distinct basis vectors with staggered powers t^{k*i},
+    smallest subsets first (so the standard basis vectors come first, each
+    tried once), then an exhaustive enumeration of monomial-supported
+    candidates within the degree bound.  A candidate counts only when its
+    certificate determinant has a known nonzero term: one that is zero up
+    to its precision certifies nothing.
     """
     if degree_bound < 0:
         raise ValidationError("degree bound must be nonnegative")
@@ -364,9 +365,7 @@ def cyclic_vector_search(conn, degree_bound=3):
         return v
 
     def candidates():
-        for i in range(n):
-            yield basis_vector([(i, 0)])
-        for size in range(2, n + 1):
+        for size in range(1, n + 1):
             for subset in combinations(range(n), size):
                 for k in range(degree_bound + 1):
                     if k * (size - 1) > degree_bound:

@@ -147,10 +147,6 @@ class LaurentElement:
     def monomial(cls, exponent, coefficient=1):
         return cls({exponent: coefficient})
 
-    @classmethod
-    def constant(cls, value):
-        return cls({0: value})
-
     # -- basic queries -----------------------------------------------------
 
     def items(self):
@@ -412,8 +408,6 @@ class LaurentElement:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, list):
-            data = {"terms": data}
         if not isinstance(data, dict) or "terms" not in data:
             raise ValidationError(f"not a Laurent element: {data!r}")
         try:

@@ -128,11 +128,6 @@ class LinComb:
         """A combination of the same kind as self that adopts ``table``."""
         return type(self)._adopt(table)
 
-    @classmethod
-    def zero(cls, *context):
-        """The empty combination; ``context`` is what the constructor takes first."""
-        return cls(*context)
-
     def is_zero(self):
         return not self._terms
 

@@ -310,9 +310,14 @@ class RootModule:
 
     # -- creation data -----------------------------------------------------
 
-    def creation_shift(self, vec):
-        """max over monomials of sum (r(i,j) - u) over factors; 0 for v_0."""
-        return max(0, max(map(self._depth, vec._terms), default=0))
+    def _check_vector(self, vec):
+        """Raise ValidationError unless vec is a ModuleVector of creation monomials."""
+        if not isinstance(vec, ModuleVector):
+            raise ValidationError(f"expected a ModuleVector, got {type(vec).__name__}")
+        for word in vec._terms:
+            for g in word:
+                if not isinstance(g, Gen) or g.u >= self.rf(g.i, g.j):
+                    raise ValidationError(f"{g!r} is not a creation factor (u < r(i, j))")
 
     # -- generator action --------------------------------------------------
 
@@ -328,6 +333,7 @@ class RootModule:
 
     def act_word(self, word, vec):
         """Apply a word of generators, rightmost factor first."""
+        self._check_vector(vec)
         for g in reversed(tuple(word)):
             if vec.is_zero():
                 return vec
@@ -393,13 +399,17 @@ class RootModule:
         node with W = 0 reaches () through tau terms only: it is a multiple
         of the vacuum, of degree 0, and acts only at s = -1.
         """
+        self._check_vector(vec)
         words = _field_states(state)
         return max((self._depth_rule(w, mono) for w in words for mono in vec._terms), default=0)
 
     def _depth_rule(self, word, mono):
-        """W(word) - 1 + shift(mono) + slack; 0 for a vacuum field (W = 0), acting at -1."""
+        """W(word) - 1 + shift(mono) + slack; 0 for a vacuum field (W = 0), acting at -1.
+
+        mono is a creation monomial (``_check_vector``, ``pbw._insert``), so shift >= 0.
+        """
         depth = self._depth(word)
-        return depth and depth - 1 + max(0, self._depth(mono)) + self._lemma_slack
+        return depth and depth - 1 + self._depth(mono) + self._lemma_slack
 
     def _zero_from(self, word, mono):
         """The least N with word_(s) mono = 0 certified for all s >= N.
@@ -420,6 +430,7 @@ class RootModule:
         ``state`` is a state as ``_state_words`` reads it, or a MinorNode of
         ``sugawara.ss_nodes``.
         """
+        self._check_vector(vec)
         table = {}
         for word, c in _field_states(state).items():
             _accumulate(table, self._fourier_word(word, s, vec._terms), c)

@@ -3,7 +3,6 @@
 import hashlib
 import importlib.util
 import json
-import os
 import random
 import subprocess
 import sys
@@ -17,6 +16,7 @@ from critcenter.cli import run
 from critcenter.diffop import Connection, Oper, connection_to_oper, cyclic_vector_search
 from critcenter.laurent import LaurentElement as L
 from critcenter.modules import ModuleVector
+from conftest import src_env
 
 
 def _run(capsys, *argv):
@@ -53,11 +53,11 @@ def test_irr_example(capsys):
 
 
 def test_miura_round_trip(capsys):
-    payload = [L.monomial(-1).to_json(), L.constant(2).to_json()]
+    payload = [L.monomial(-1).to_json(), L.monomial(0, 2).to_json()]
     code, out, _ = _run(capsys, "miura", "--json", "--data", json.dumps(payload))
     assert code == 0
     chi = Oper.from_json(json.loads(out))
-    assert chi.a[0] == L.monomial(-1) + L.constant(2)
+    assert chi.a[0] == L.monomial(-1) + L.monomial(0, 2)
 
 
 def test_cyclic_and_oper_pipeline(capsys):
@@ -161,6 +161,9 @@ def test_bad_window_and_rationals_exit_2(capsys):
         ["cyclic", "--data", '{"matrix":[5]}'],
         ["cyclic", "--data", '{"matrix":5}'],
         ["oper", "--data", '{"connection":{"matrix":[[[[-1,"1"]]]]},"vector":5}'],
+        # one form each: a Laurent element is an object, a miura payload a list
+        ["irr", "--data", '{"rank":1,"a":[[[-2,"1"]]]}'],
+        ["miura", "--data", '{"h":[{"terms":[[-1,"1"]]}]}'],
     ],
 )
 def test_json_integers_are_validated(capsys, argv):
@@ -330,15 +333,13 @@ def test_help_and_version_exit_0(capsys, argv):
 def test_cli_import_skips_thread_pool_and_logging():
     # The scan's thread pool is imported where it is used: importing
     # concurrent.futures pulls in logging, which every CLI launch would pay.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, critcenter.cli; "
         "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -375,9 +376,6 @@ _CONN = '{"rank":1,"matrix":[[{"terms":[[-2,"1"]]}]]}'
 def test_each_subcommand_loads_only_its_layers(argv, expected):
     # The console script's own path: `critcenter.cli:main` in a fresh
     # interpreter, which reports the critcenter modules it loaded at exit.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys\n"
         "from critcenter.cli import main\n"
@@ -388,7 +386,7 @@ def test_each_subcommand_loads_only_its_layers(argv, expected):
         " file=sys.stderr)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code, *argv], env=src_env(), capture_output=True, text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -409,12 +407,10 @@ def test_closed_stdout_exits_without_traceback(argv, unbuffered):
     # `critcenter ... | head` closes the pipe early; here the reader is gone
     # before the child writes a byte.  Buffered, a short output fails only
     # at the final flush.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "critcenter.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=src_env(PYTHONUNBUFFERED=unbuffered),
     )
     proc.stdout.close()
     err = proc.stderr.read().decode()

@@ -65,9 +65,7 @@ oper_payloads = _mostly(
         optional={"vector": _mostly(_laurent_list(0, 3))},
     )
 )
-miura_payloads = _mostly(
-    _laurent_list(0, 3) | st.fixed_dictionaries({"h": _mostly(_laurent_list(0, 3))})
-)
+miura_payloads = _mostly(_laurent_list(0, 3))
 
 FUZZ = settings(
     max_examples=150,

@@ -44,7 +44,7 @@ def _rand_laurent(rng, lo=-3, hi=3, density=0.6):
 
 
 def test_miura_constants():
-    c1, c2 = L.constant(3), L.constant(5)
+    c1, c2 = L.monomial(0, 3), L.monomial(0, 5)
     chi = miura([c1, c2])
     assert chi.a[0] == c1 + c2
     assert chi.a[1] == c1 * c2
@@ -75,7 +75,7 @@ def test_miura_holomorphic_stays_holomorphic():
 
 
 def test_miura_truncated_component():
-    chi = miura([L({-1: 1}, precision=2), L.constant(2)])
+    chi = miura([L({-1: 1}, precision=2), L.monomial(0, 2)])
     assert chi.a == (L({-1: 1, 0: 2}, precision=2), L({-2: 1, -1: 2}, precision=1))
 
 

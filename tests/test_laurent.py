@@ -46,7 +46,7 @@ def test_mul_precision_with_shifted_valuation():
 
 def test_derivative_examples():
     assert L.monomial(-1).derivative() == L.monomial(-2, -1)
-    assert L.constant(5).derivative().is_zero()
+    assert L.monomial(0, 5).derivative().is_zero()
     assert L({3: 1, 1: 2}).derivative() == L({2: 3, 0: 2})
 
 
@@ -75,7 +75,7 @@ def test_residue_undetermined():
 def test_valuation_examples():
     assert L({-3: 1, 1: 1}).valuation() == -3
     assert L.zero().valuation() is INFINITY
-    assert L.constant(7).valuation() == 0
+    assert L.monomial(0, 7).valuation() == 0
 
 
 def test_valuation_undetermined_for_truncated_zero():
@@ -375,7 +375,7 @@ def _results(a, b, k, order):
 
 def test_canonical_coefficient_examples():
     assert type(L({0: Fraction(3)}).coefficient(0)) is int
-    assert type(L.constant(Fraction(4, 2)).scale(Fraction(1, 2)).coefficient(0)) is int
+    assert type(L.monomial(0, Fraction(4, 2)).scale(Fraction(1, 2)).coefficient(0)) is int
     inv = L({0: 3, 1: 1}).invert(5)
     assert inv.precision == 5
     assert inv.items() == [
@@ -408,7 +408,7 @@ def test_coefficients_stay_canonical(d, p, e, q, k, order):
         lambda: L({Fraction(2): 1}),
         lambda: L({0: 0.5}),
         lambda: L({0: True}),
-        lambda: L.constant(False),
+        lambda: L.monomial(0, False),
         lambda: L.one().scale(0.25),
     ],
 )

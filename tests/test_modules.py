@@ -197,6 +197,24 @@ def test_out_of_range_factor_reached_by_insertion_is_a_validation_error():
         mod.act(Gen(1, 1, 0), vec)
 
 
+def test_vectors_are_checked_where_they_enter():
+    # e_11[3] kills v_0 on km0(2, 1) (r(1, 1) = 1), so it is no creation
+    # factor, and a vector holding it is not a vector of this module.
+    mod = RootModule(root_fn_km0(2, 1))
+    assert mod.act(Gen(1, 1, 3), V0).is_zero()
+    vec = ModuleVector({(Gen(1, 1, 3),): 1})
+    state = {(Gen(2, 2, -1),): 1}
+    for call in (
+        lambda: mod.fourier_act(state, 0, vec),
+        lambda: mod.annihilation_bound(state, vec),
+        lambda: mod.act_word((Gen(2, 2, -1),), vec),
+    ):
+        with pytest.raises(ValidationError, match=r"e\[1,1;3\] is not a creation factor"):
+            call()
+    with pytest.raises(ValidationError, match="expected a ModuleVector"):
+        mod.fourier_act(state, 0, NCPoly(mod.algebra))
+
+
 # -- generator action --------------------------------------------------------
 
 
@@ -427,7 +445,7 @@ def test_borcherds_commutator_expansion():
         )
         x_state = vac.act(Gen(x.i, x.j, -1), ModuleVector.vacuum())
         cutoff = vac.annihilation_bound(state, x_state)
-        rhs = ModuleVector.zero()
+        rhs = ModuleVector()
         for p in range(0, max(cutoff, 0) + 1):
             inner = vac.fourier_act(state, p, x_state)
             if inner.is_zero():
@@ -470,7 +488,7 @@ def _central_by_full_sweep(state, n):
     """Reference test: every e_ij[u] below the certified mode bound kills the state."""
     mod = vacuum_module(n)
     vec = act_poly(mod, state, V0)
-    limit = mod.creation_shift(vec) + mod._lemma_slack
+    limit = max((mod._depth(w) for w in vec._terms), default=0) + mod._lemma_slack
     return all(
         mod.act(Gen(i, j, u), vec).is_zero()
         for i in range(1, n + 1)

@@ -2,10 +2,8 @@
 
 import importlib
 import inspect
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -13,10 +11,10 @@ import critcenter
 from critcenter import algebra, errors, pbw, sugawara
 from critcenter.algebra import AffineAlgebra, Gen
 from critcenter.laurent import LaurentElement
+from critcenter.lincomb import LinComb
 from critcenter.modules import RootModule
 from critcenter.pbw import NCPoly
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from conftest import src_env
 
 
 def test_public_surface_resolves_and_holds_no_test_oracles():
@@ -52,6 +50,11 @@ def test_public_surface_resolves_and_holds_no_test_oracles():
         "self", "state", "s", "vec",
     ]
     assert not hasattr(RootModule, "_min_degree")
+    # One spelling each: LaurentElement.monomial(0, c), the bare constructor
+    # for an empty combination, and _depth for a monomial's shift.
+    assert not hasattr(LaurentElement, "constant")
+    assert not hasattr(LinComb, "zero")
+    assert not hasattr(RootModule, "creation_shift")
 
 
 def test_level_is_a_constant():
@@ -87,10 +90,9 @@ def test_unknown_name_raises_attribute_error():
 
 
 def _fresh(code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()

@@ -1,12 +1,13 @@
 """Every reproduction script and every Python block of the README runs cleanly."""
 
-import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "repro").glob("*.py"))
@@ -16,14 +17,10 @@ README_BLOCKS = re.findall(
 
 
 def _run(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     return subprocess.run(
         [sys.executable, *args],
         cwd=ROOT,
-        env=env,
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,

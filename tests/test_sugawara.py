@@ -43,7 +43,7 @@ def test_cdet_commutative_two_by_two():
 
 def test_cdet_identity_matrix():
     alg = AffineAlgebra(3)
-    one, zero = from_word(alg, ()), NCPoly.zero(alg)
+    one, zero = from_word(alg, ()), NCPoly(alg)
     m = [[one if i == j else zero for j in range(3)] for i in range(3)]
     assert cdet(m) == one
 

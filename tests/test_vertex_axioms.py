@@ -37,7 +37,7 @@ def _as_vector(vac, word):
 
 def _translate(vac, vec):
     """T(vec) by the derivation rule: lower one factor degree at a time."""
-    out = ModuleVector.zero()
+    out = ModuleVector()
     for word, c in vec._terms.items():
         for idx, g in enumerate(word):
             lowered = word[:idx] + (g.shifted(-1),) + word[idx + 1 :]
