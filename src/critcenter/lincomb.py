@@ -8,10 +8,24 @@ sums accumulate into one dict and delete the keys that cancel, so no table
 ever stores a zero and equality is dict equality.  It also owns their text
 form (``signed_sum``, shared with Laurent elements) and their JSON form, a
 list of ``{"coeff": "num/den", "word": [token, ...]}``.
+
+The tables, and the memos that map words to them, are acyclic: a key is
+a tuple of generators, a value a scalar or, in a memo, a table, and
+nothing refers back to the dict that holds it.  The keys are tuples of a
+tuple subclass (``algebra.Gen``), which the cyclic garbage collector never
+stops tracking, so each collection walks every live table again; left on,
+collection takes over a quarter of the n = 7 chain's time.  The chain's
+stages build and drop such tables, and each frees all it drops by
+reference counting (``tests/test_memo_lifetimes.py`` checks that none
+leaves cyclic garbage), so a collection during a stage frees nothing that
+one after it would not.  ``gc_paused`` therefore switches the collector
+off for the length of a stage.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -46,6 +60,27 @@ def scalar_from_str(text):
 
 def scalar_to_str(value):
     return str(Fraction(value))
+
+
+def gc_paused(stage):
+    """Run ``stage`` with the cyclic garbage collector off, as the module docstring allows.
+
+    An enabled collector is enabled again when the stage returns or raises;
+    one that the caller disabled stays off, so nested stages leave it to
+    the outermost.
+    """
+
+    @functools.wraps(stage)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return stage(*args, **kwargs)
+        gc.disable()
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def signed_sum(terms):

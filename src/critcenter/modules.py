@@ -67,7 +67,7 @@ from fractions import Fraction
 from .algebra import AffineAlgebra, Gen, check_rank, word_from_tokens
 from .errors import DomainError, ValidationError
 from .laurent import LaurentElement
-from .lincomb import LinComb, _accumulate, canonical, scalar_from_str
+from .lincomb import LinComb, _accumulate, canonical, gc_paused, scalar_from_str
 from .pbw import NCPoly, _insert, _straighten
 from .sugawara import MinorNode, ss_nodes
 from .diffop import Oper, irregularity
@@ -523,6 +523,7 @@ class RootModule:
 # -- module-level operations ---------------------------------------------
 
 
+@gc_paused
 def state_is_central(state, n):
     """Exact membership test for the centre of the vacuum vertex algebra.
 
@@ -616,7 +617,11 @@ def _kills_all(algebra, generators, words):
     One walk over the words fills a raw sum per generator, in the order
     that a walk for that generator alone would.  A table local to the call
     maps each distinct factor x to the generators g with [g, x] != 0, so
-    each position costs one lookup, not one bracket per generator.  The raw
+    each position costs one lookup, not one bracket per generator.  The
+    table also records whether [g, x] is simple, with no central term and
+    every loop term of negative degree (every e_{a,a+1}[0], and e_{n,1}[1]
+    on factors of degree <= -2); the raw words of a simple bracket are
+    added here, and only the others go through ``_add_bracket``.  The raw
     sums are straightened one by one, stopping at the first that is not 0,
     each with a memo of its own (``_straightens_to_zero``): one memo shared
     by the n sums peaks higher, for no gain in time.
@@ -631,11 +636,17 @@ def _kills_all(algebra, generators, words):
                 for g, raw in zip(generators, raws):
                     lie, central = algebra.bracket(g, x)
                     if lie or central:
-                        hits.append((raw, lie, central))
+                        simple = not central and all(h.u < 0 for h, _ in lie)
+                        hits.append((raw, lie, central, simple))
             if hits:
                 pre, post = word[:i], word[i + 1 :]
-                for raw, lie, central in hits:
-                    _add_bracket(algebra, lie, central, c, pre, post, raw)
+                for raw, lie, central, simple in hits:
+                    if simple:
+                        for h, c2 in lie:
+                            key = pre + (h,) + post
+                            raw[key] = raw.get(key, 0) + c * c2
+                    else:
+                        _add_bracket(algebra, lie, central, c, pre, post, raw)
     return all(_straightens_to_zero(algebra, raw) for raw in raws)
 
 
@@ -668,6 +679,7 @@ def _add_bracket(algebra, lie, central, c, pre, post, raw):
         raw[key] = raw.get(key, 0) + c * central
 
 
+@gc_paused
 def ss_operator_act(n, ell, N, rf):
     """Apply the N-th Fourier coefficient of S_l, from its node, to v_0."""
     if rf.n != n:
@@ -692,6 +704,7 @@ def _workers_from_env(cells):
     return 1
 
 
+@gc_paused
 def vanishing_report(n, rf, scan_window=3):
     """Scan the Fourier coefficients of every S_l around its threshold.
 

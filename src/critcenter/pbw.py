@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .algebra import word_from_tokens
 from .errors import DomainError, ValidationError
-from .lincomb import LinComb, _accumulate, canonical
+from .lincomb import LinComb, _accumulate, canonical, gc_paused
 
 
 def _straighten(algebra, word, memo):
@@ -31,8 +31,10 @@ def _straighten(algebra, word, memo):
     hit = memo.get(word)
     if hit is not None:
         return hit
-    bad = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
-    if bad is None:
+    for bad in range(len(word) - 1):
+        if word[bad] > word[bad + 1]:
+            break
+    else:
         memo[word] = result = {word: 1}
         return result
 
@@ -166,21 +168,23 @@ def _project_word(algebra, word, memo):
     hit = memo.get(word)
     if hit is not None:
         return hit
-    low = next((k for k, g in enumerate(word) if g.i > g.j), None)
     out = {}
-    if low is None:
+    for low, x in enumerate(word):
+        if x.i > x.j:
+            rest = word[low + 1 :]
+            for k in range(low):
+                pre, post = word[:k], word[k + 1 : low] + rest
+                for g, c in algebra.bracket(word[k], x)[0]:
+                    _accumulate(out, _project_word(algebra, pre + (g,) + post, memo), c)
+            break
+    else:
         if all(g.i == g.j for g in word):
             out[tuple(sorted(word))] = 1
-    else:
-        x, rest = word[low], word[low + 1 :]
-        for k in range(low):
-            pre, post = word[:k], word[k + 1 : low] + rest
-            for g, c in algebra.bracket(word[k], x)[0]:
-                _accumulate(out, _project_word(algebra, pre + (g,) + post, memo), c)
     memo[word] = out
     return out
 
 
+@gc_paused
 def hc_project(p):
     """Canonical projection onto the commutative algebra on the e_ii[u], u < 0.
 

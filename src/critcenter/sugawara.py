@@ -54,7 +54,7 @@ from math import comb, factorial
 
 from .algebra import AffineAlgebra, Gen, check_rank
 from .errors import ValidationError
-from .lincomb import _accumulate
+from .lincomb import _accumulate, gc_paused
 from .pbw import NCPoly, _insert
 
 
@@ -169,6 +169,7 @@ class SSFamily:
 _family_cache = {}
 
 
+@gc_paused
 def ss_vectors(n):
     """The central vectors S_l, each its ``ss_nodes`` node multiplied out,
     and their omega_l.

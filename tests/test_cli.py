@@ -331,8 +331,8 @@ def test_help_and_version_exit_0(capsys, argv):
 
 
 def test_cli_import_skips_thread_pool_and_logging():
-    # The scan's thread pool is imported where it is used: importing
-    # concurrent.futures pulls in logging, which every CLI launch would pay.
+    # Importing the CLI loads neither concurrent.futures nor logging: every
+    # launch would pay for both, and no command uses them.
     code = (
         "import sys, critcenter.cli; "
         "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"

@@ -1,6 +1,8 @@
 """Root modules, Fourier-coefficient actions, and the vanishing machinery."""
 
 import copy
+import hashlib
+import json
 import random
 import sys
 from fractions import Fraction
@@ -27,7 +29,7 @@ from critcenter.modules import (
     state_is_central,
     vanishing_report,
 )
-from critcenter.pbw import NCPoly
+from critcenter.pbw import NCPoly, hc_project
 from critcenter.sugawara import ss_nodes, ss_vectors
 from oracles import from_word, gbinom, lemma_relations_bound, vacuum_module
 
@@ -463,6 +465,23 @@ def test_sugawara_states_are_central_in_vacuum():
         family = ss_vectors(n)
         for s in family.S:
             assert state_is_central(s, n)
+
+
+# SHA-256 of the rank-6 chain's output (family and km0 m=1 scan), hashed as
+# the benchmark's job.py hashes it: it pins the fast paths of _kills_all,
+# _straighten and _project_word at a rank the other tests do not reach.
+_CHAIN_6_SHA256 = "619dc8c7a568a316d91ef730399f9c78d755430b5b9fadfa0f70d85bcdacfd05"
+
+
+def test_rank6_chain_output_is_pinned():
+    n = 6
+    family = ss_vectors(n)
+    for s, w in zip(family.S, family.omega):
+        assert hc_project(s) == w
+        assert state_is_central(s, n)
+    report = vanishing_report(n, root_fn_km0(n, 1))
+    output = json.dumps({"family": family.to_json(), "report": report}, sort_keys=True)
+    assert hashlib.sha256(output.encode()).hexdigest() == _CHAIN_6_SHA256
 
 
 def _reordered_quadratic_variant():
