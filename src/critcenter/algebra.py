@@ -16,41 +16,62 @@ Only there is the centre of the completed enveloping algebra nontrivial
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .errors import ValidationError
 
-
-class _GenFields(NamedTuple):
-    u: int
-    i: int
-    j: int
+_B = 10  # bits per index in a generator's code
+_interned = {}  # (i, j, u) -> its Gen
 
 
-class Gen(_GenFields):
+class Gen(int):
     """The loop generator e_ij[u] = e_ij tensor t^u (1-based i, j).
 
-    Built as ``Gen(i, j, u)`` from three ints, and stored as the tuple
-    (u, i, j), so generators compare in PBW order: degree first, then (i, j)
-    lexicographic.  ``_make`` and so ``_replace`` go through the constructor.
+    Built as ``Gen(i, j, u)`` from three ints, the indices in [0, 2**10).
+    Its value is the code (u << 20) | (i << 10) | j, so generators compare
+    in PBW order, degree first, then (i, j) lexicographic, and a word of
+    them hashes and compares as a tuple of small ints.  Each (i, j, u) has
+    one interned object, with the fields stored as plain attributes (faster
+    to read than to decode); as it is shared, they cannot be set or
+    deleted, and a copy or an unpickled generator is that object.
+    ``_make`` takes the fields in PBW order (u, i, j); it and ``_replace``
+    go through the constructor.
     """
-
-    __slots__ = ()
 
     def __new__(cls, i, j, u):
         if type(i) is not int or type(j) is not int or type(u) is not int:
             raise ValidationError(
                 f"generator fields must be ints, got i={i!r}, j={j!r}, u={u!r}"
             )
-        return tuple.__new__(cls, (u, i, j))
+        g = _interned.get((i, j, u))
+        if g is None:
+            if not (0 <= i < 1 << _B and 0 <= j < 1 << _B):
+                raise ValidationError(
+                    f"generator indices must lie in [0, {1 << _B}), got i={i}, j={j}"
+                )
+            g = int.__new__(cls, (u << 2 * _B) | (i << _B) | j)
+            vars(g).update(i=i, j=j, u=u)
+            _interned[i, j, u] = g
+        return g
 
-    def __getnewargs__(self):
-        return self.i, self.j, self.u
+    def __setattr__(self, name, value):
+        raise AttributeError(f"generator {self!r} is shared: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"generator {self!r} is shared: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Gen, (self.i, self.j, self.u)
 
     @classmethod
     def _make(cls, fields):
         u, i, j = fields
         return cls(i, j, u)
+
+    def _replace(self, **fields):
+        i, j, u = (fields.pop(f, getattr(self, f)) for f in "iju")
+        if fields:
+            raise ValueError(f"Got unexpected field names: {list(fields)!r}")
+        return Gen(i, j, u)
 
     def __repr__(self):
         return f"e[{self.i},{self.j};{self.u}]"

@@ -203,7 +203,7 @@ class LaurentElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or type(other) is Fraction:
             return self.scale(other)
         if not isinstance(other, LaurentElement):
             return NotImplemented

@@ -11,15 +11,17 @@ list of ``{"coeff": "num/den", "word": [token, ...]}``.
 
 The tables, and the memos that map words to them, are acyclic: a key is
 a tuple of generators, a value a scalar or, in a memo, a table, and
-nothing refers back to the dict that holds it.  The keys are tuples of a
-tuple subclass (``algebra.Gen``), which the cyclic garbage collector never
-stops tracking, so each collection walks every live table again; left on,
-collection takes over a quarter of the n = 7 chain's time.  The chain's
-stages build and drop such tables, and each frees all it drops by
+nothing refers back to the dict that holds it.  A generator
+(``algebra.Gen``) is an int that carries its fields in an attribute dict,
+so the cyclic garbage collector tracks it and never stops tracking a word
+that holds it, and each collection walks every live table again; left
+on, collection takes over a quarter of the n = 7 chain's time.  The
+chain's stages build and drop such tables, and each frees all it drops by
 reference counting (``tests/test_memo_lifetimes.py`` checks that none
 leaves cyclic garbage), so a collection during a stage frees nothing that
 one after it would not.  ``gc_paused`` therefore switches the collector
-off for the length of a stage.
+off for the length of a stage, and of ``SSFamily.to_json``, which turns
+every word into text.
 """
 
 from __future__ import annotations

@@ -195,7 +195,7 @@ def _exact(value, name):
     """An int, Fraction or "num/den" string as a Fraction; never a float or bool."""
     if isinstance(value, str):
         return scalar_from_str(value)
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    if type(value) is int or type(value) is Fraction:
         return Fraction(value)
     raise ValidationError(f"{name} must be an exact rational, got {value!r}")
 

@@ -132,8 +132,10 @@ class NCPoly(LinComb):
 
     def __mul__(self, other):
         """The product: each concatenated pair of words, straightened."""
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or type(other) is Fraction:
             return self.scale(other)
+        if not isinstance(other, NCPoly):
+            return NotImplemented
         self._check_compatible(other)
         memo = self.algebra._straighten_cache
         table = {}

@@ -157,7 +157,9 @@ class SSFamily:
         self.S = tuple(S)
         self.omega = tuple(omega)
 
+    @gc_paused
     def to_json(self):
+        """The family as JSON data, built from acyclic dicts and lists."""
         return {
             "n": self.n,
             "S": [s.to_json() for s in self.S],

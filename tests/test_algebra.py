@@ -7,8 +7,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from critcenter.algebra import (
+    _B,
     AffineAlgebra,
     Gen,
     bracket,
@@ -18,6 +21,7 @@ from critcenter.algebra import (
 from critcenter.errors import ValidationError
 from critcenter.modules import ModuleVector, RootModule, root_fn_km0, state_is_central
 from critcenter.pbw import NCPoly
+from critcenter.sugawara import ss_vectors
 from oracles import tau_bracket
 
 
@@ -67,9 +71,9 @@ def test_generator_token_round_trip():
 
 
 def test_generator_layout_keeps_the_constructor_and_sorts_in_pbw_order():
-    # Gen(i, j, u) is stored as (u, i, j): the constructor, attributes, text
-    # and equality are those of e_ij[u], and plain tuple order is the PBW
-    # order: degree first, then (i, j) lexicographic.
+    # Gen(i, j, u) is an int coding (u, i, j): the constructor, attributes,
+    # text and equality are those of e_ij[u], and the order of the codes is
+    # the PBW order: degree first, then (i, j) lexicographic.
     g = Gen(2, 3, -4)
     assert (g.i, g.j, g.u) == (2, 3, -4)
     assert repr(g) == "e[2,3;-4]"
@@ -81,8 +85,7 @@ def test_generator_layout_keeps_the_constructor_and_sorts_in_pbw_order():
     copies = [copy.copy(g), copy.deepcopy(g)]
     copies += [pickle.loads(pickle.dumps(g, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in copies:
-        assert type(twin) is Gen and twin == g and repr(twin) == repr(g)
-        assert (twin.i, twin.j, twin.u) == (2, 3, -4)
+        assert twin is g
     gens = [
         Gen(i, j, u) for i in range(1, 4) for j in range(1, 4) for u in range(-3, 4)
     ]
@@ -112,11 +115,63 @@ def test_generator_fields_must_be_ints():
             Gen(*fields)
     with pytest.raises(ValidationError):
         Gen(1, 2, -1)._replace(u=0.5)
-    # NamedTuple's _make builds from the stored fields (u, i, j); it must go
+    # _make builds from the fields in PBW order (u, i, j); it must go
     # through the constructor too, not hand back a float degree.
     with pytest.raises(ValidationError):
         Gen._make((0.5, 1, 2))
     assert Gen._make((-1, 1, 2)) == Gen(1, 2, -1)
+
+
+_TOP = (1 << _B) - 1  # the largest index a generator's code holds
+indices = st.one_of(st.sampled_from([0, 1, _TOP]), st.integers(0, _TOP))
+degrees = st.one_of(st.integers(-12, 12), st.integers(-(10**30), 10**30))
+fields = st.tuples(indices, indices, degrees)
+
+
+@given(fields, fields)
+@example((0, 0, -1), (_TOP, _TOP, -2))
+@example((_TOP, 0, 10**12), (0, _TOP, 10**12))
+@example((1, _TOP, -123456), (2, 0, -123456))
+def test_generator_order_is_pbw_order(a, b):
+    ga, gb = Gen(*a), Gen(*b)
+    ka, kb = (a[2], a[0], a[1]), (b[2], b[0], b[1])
+    assert (ga < gb) == (ka < kb) and (ga == gb) == (ka == kb)
+    assert (ga.i, ga.j, ga.u) == a
+
+
+@given(fields)
+def test_generator_is_interned_and_frozen(f):
+    g = Gen(*f)
+    assert Gen(*f) is g and g.shifted(0) is g and g._replace() is g
+    with pytest.raises(AttributeError):
+        g.u = 0
+    with pytest.raises(AttributeError):
+        del g.i
+    assert (g.i, g.j, g.u) == f
+
+
+def test_generator_text_is_its_token():
+    g = Gen(12, 3, -45)
+    assert repr(g) == str(g) == f"{g}" == "{}".format(g) == "e[12,3;-45]"
+    assert gen_from_str(f"{g}") is g
+
+
+@pytest.mark.parametrize(
+    "fields", [(_TOP + 1, 1, 0), (1, _TOP + 1, 0), (-1, 1, 0), (1, -1, -3)]
+)
+def test_generator_index_outside_the_code_is_rejected(fields):
+    with pytest.raises(ValidationError):
+        Gen(*fields)
+    with pytest.raises(ValidationError):
+        gen_from_str("e[{},{};{}]".format(*fields))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sugawara_words_sort_the_same_by_code_and_by_fields(n):
+    for s in ss_vectors(n).S:
+        for word in s._terms:
+            by_fields = sorted(word, key=lambda g: (g.u, g.i, g.j))
+            assert sorted(word) == by_fields == list(word)
 
 
 def test_algebra_bracket_is_memoised_and_immutable():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from critcenter.algebra import Gen
 from critcenter.errors import (
     PrecisionExhaustedError,
     UndeterminedCoefficientError,
@@ -415,6 +416,15 @@ def test_coefficients_stay_canonical(d, p, e, q, k, order):
 def test_inexact_input_is_rejected(build):
     with pytest.raises(ValidationError):
         build()
+
+
+def test_a_generator_is_not_a_scalar():
+    # Gen subclasses int; its code must not scale a Laurent element.
+    g = Gen(1, 1, 0)
+    with pytest.raises(TypeError):
+        L.one() * g
+    with pytest.raises(TypeError):
+        g * L.one()
 
 
 # -- fused multiply-accumulate ---------------------------------------------

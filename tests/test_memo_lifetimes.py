@@ -50,6 +50,8 @@ def test_chain_and_oper_stages_leave_no_cyclic_garbage():
             assert gc.collect() == 0, "hc_project"
             assert state_is_central(s, n)
             assert gc.collect() == 0, "state_is_central"
+        family.to_json()
+        assert gc.collect() == 0, "SSFamily.to_json"
         assert all(vanishing_report(n, rf)["verified"])
         assert gc.collect() == 0, "vanishing_report"
         ss_operator_act(n, n, n - 1, rf)
@@ -90,6 +92,7 @@ def _paused_stages(n):
         ("state_is_central", lambda: state_is_central(family.S[-1], n)),
         ("vanishing_report", lambda: vanishing_report(n, rf)),
         ("ss_operator_act", lambda: ss_operator_act(n, n, n, rf)),
+        ("SSFamily.to_json", family.to_json),
     ]
 
 

@@ -88,14 +88,18 @@ def test_moy_prasad_root_function():
         ([None, 0], 0),
         ([0, 0], 1e400),
         ("00", 0),
+        ([Gen(1, 1, 0), 0], 0),
+        ([0, 0], Gen(1, 1, 0)),
     ],
     ids=[
         "float-x", "float-r", "bool-r", "bool-x", "text-x", "none-x", "huge-float-r", "string-point",
+        "generator-x", "generator-r",
     ],
 )
 def test_moy_prasad_rejects_inexact_input(x, r):
-    # A float would be read through its binary expansion and a bool as 0 or
-    # 1; neither is a rational point.  Bad text or None is a ValidationError.
+    # A float would be read through its binary expansion, a bool as 0 or 1
+    # and a generator (an int subclass) as its code; none is a rational
+    # point.  Bad text or None is a ValidationError.
     with pytest.raises(ValidationError):
         root_fn_moy_prasad(2, x, r)
 
@@ -482,6 +486,18 @@ def test_rank6_chain_output_is_pinned():
     report = vanishing_report(n, root_fn_km0(n, 1))
     output = json.dumps({"family": family.to_json(), "report": report}, sort_keys=True)
     assert hashlib.sha256(output.encode()).hexdigest() == _CHAIN_6_SHA256
+
+
+# SHA-256 of the km0 m=2 scan at rank 5, where no degree cut ends the
+# Fourier recursion: it pins that recursion's output against any change to
+# how its words hash or order.
+_KM0_M2_5_SHA256 = "ad81a2de5a626e9a2d4e027bef1a86a8edaafc8deb527003915f873f8a6d201b"
+
+
+def test_rank5_km0_m2_scan_is_pinned():
+    report = vanishing_report(5, root_fn_km0(5, 2))
+    output = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(output.encode()).hexdigest() == _KM0_M2_5_SHA256
 
 
 def _reordered_quadratic_variant():

@@ -477,6 +477,16 @@ def test_inexact_scalars_are_rejected(build):
         build()
 
 
+def test_a_generator_is_not_a_scalar():
+    # Gen subclasses int; its code must not scale a polynomial.
+    g = Gen(1, 1, -1)
+    p = from_word(_alg(), (g,))
+    with pytest.raises(TypeError):
+        p * g
+    with pytest.raises(TypeError):
+        g * p
+
+
 @pytest.mark.parametrize("value", ["1/2", "1e5", Decimal("0.5")], ids=repr)
 @pytest.mark.parametrize(
     "build",
