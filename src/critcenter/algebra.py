@@ -34,7 +34,8 @@ class Gen(int):
     to read than to decode); as it is shared, they cannot be set or
     deleted, and a copy or an unpickled generator is that object.
     ``_make`` takes the fields in PBW order (u, i, j); it and ``_replace``
-    go through the constructor.
+    go through the constructor.  A generator is not a number: arithmetic on
+    it raises TypeError, and it formats as its text ``e[i,j;u]``.
     """
 
     def __new__(cls, i, j, u):
@@ -76,8 +77,36 @@ class Gen(int):
     def __repr__(self):
         return f"e[{self.i},{self.j};{self.u}]"
 
+    def __format__(self, spec):
+        return format(repr(self), spec)
+
+    def _repr_pretty_(self, printer, cycle):
+        # IPython's and Hypothesis's pretty printers would otherwise take
+        # the int printer, which calls abs()
+        printer.text(repr(self))
+
     def shifted(self, du):
         return Gen(self.i, self.j, self.u + du)
+
+
+def _not_a_number(name):
+    def refuse(self, *args):
+        raise TypeError(f"{name}: the generator {self!r} is not a number")
+
+    refuse.__name__ = name
+    return refuse
+
+
+# The int operators Gen inherits.  Each raises itself instead of returning
+# NotImplemented: for ``1 + g`` Python tries the subclass's ``__radd__``
+# first and would fall back to int's.
+for _op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "divmod", "pow",
+            "lshift", "rshift", "and", "or", "xor"):
+    setattr(Gen, f"__{_op}__", _not_a_number(f"__{_op}__"))
+    setattr(Gen, f"__r{_op}__", _not_a_number(f"__r{_op}__"))
+for _op in ("neg", "pos", "abs", "invert"):
+    setattr(Gen, f"__{_op}__", _not_a_number(f"__{_op}__"))
+del _op
 
 
 _GEN_RE = re.compile(r"^e\[(-?\d+),(-?\d+);(-?\d+)\]$")

@@ -28,7 +28,7 @@ from .errors import (
     NotCyclicError,
     ValidationError,
 )
-from .laurent import LaurentElement, int_from_json
+from .laurent import LaurentElement, _scaled, int_from_json
 
 
 class Oper:
@@ -134,9 +134,7 @@ class Connection:
         if n == 0 or any(len(row) != n for row in matrix):
             raise ValidationError("connection matrix must be square and nonempty")
         self.matrix = matrix
-        self.denominator = lcm(
-            *(c.denominator for row in matrix for e in row for _, c in e.items())
-        )
+        self.denominator = lcm(*(e._denominator() for row in matrix for e in row))
         self.integral = tuple(
             tuple(e.scale(self.denominator) for e in row) for row in matrix
         )
@@ -232,40 +230,49 @@ def _cofactor_minors(rows, orders):
     column suffix reuse each other's sub-minors: n 2^(n-1) products per
     order instead of n!.  The table lives for the call.
 
-    If every entry is exact with int coefficients, as the callers' scaled
-    images of an integral vector are, the same recursion runs on ints by
-    Kronecker substitution t -> 2^B (Harvey, J. Symb. Comput. 2009): one
-    big-int multiply per cofactor product.  Entry a_rc is packed as
-    t^(-s_c) a_rc at t = 2^B, s_c the least exponent in column c, so the
-    minor over the columns C packs as t^(-sum_{c in C} s_c) times itself;
-    evaluation is a ring map, so the int arithmetic is exact.  The width
-    comes from Hadamard's bound.  On |t| = 1 each coefficient of a Laurent
-    polynomial is at most the largest absolute value it takes there (the
-    coefficient is its mean against t^-k), and |a_rc(t)| <= ||a_rc||_1.
-    Hadamard bounds |det| by the product of its column 2-norms, so with
-    P_c = sum_r ||a_rc||_1^2 a minor over C, on any of the rows, has every
-    coefficient at most sqrt(prod_{c in C} P_c) <= M = isqrt(prod_c
-    max(1, P_c)) + 1.  A partial sum of a first-column expansion is the
-    determinant with some first-column entries set to 0, so the same bound
-    covers it.  With B = M.bit_length() + 1 every coefficient lies below
-    2^(B-1) in absolute value, its balanced base-2^B digits are unique, and
-    a finished minor is decoded once per order (``_unpack``); a packed
-    entry is 0 exactly when the entry is.
-    An entry with a precision or a Fraction coefficient keeps the whole
-    table in LaurentElement arithmetic and its precision rules.
+    If every entry is exact (``precision is None``), the same recursion runs
+    on ints by Kronecker substitution t -> 2^B (Harvey, J. Symb. Comput.
+    2009): one big-int multiply per cofactor product.  Row r is first scaled
+    to ints by the lcm s_r of its entries' denominators (1 for the callers'
+    scaled images of an integral vector), so every minor, which reads all n
+    rows, comes out as prod_r s_r times itself and is divided by that once.
+    Entry a_rc is packed as t^(-s_c) a_rc at t = 2^B, s_c the least exponent
+    in column c, so the minor over the columns C packs as
+    t^(-sum_{c in C} s_c) times itself; evaluation is a ring map, so the int
+    arithmetic is exact.  The width comes from Hadamard's bound on the
+    scaled rows.  On |t| = 1 each coefficient of a Laurent polynomial is at
+    most the largest absolute value it takes there (the coefficient is its
+    mean against t^-k), and |a_rc(t)| <= ||a_rc||_1.  Hadamard bounds |det|
+    by the product of its column 2-norms, so with P_c = sum_r ||a_rc||_1^2
+    a minor over C, on any of the rows, has every coefficient at most
+    sqrt(prod_{c in C} P_c) <= M = isqrt(prod_c max(1, P_c)) + 1.  A
+    partial sum of a first-column expansion is the determinant with some
+    first-column entries set to 0, so the same bound covers it.  With
+    B = M.bit_length() + 1 every coefficient lies below 2^(B-1) in absolute
+    value, its balanced base-2^B digits are unique, and a finished minor is
+    decoded once per order (``_unpack``); a packed entry is 0 exactly when
+    the entry is.  A truncated entry keeps the whole table in
+    LaurentElement arithmetic and its precision rules.
     """
     table, zero = rows, LaurentElement.zero()
-    exact = all(e.precision is None and all(type(c) is int for c in e._coeff.values())
-                for row in rows for e in row)
+    exact = all(e.precision is None for row in rows for e in row)
     if exact:
-        columns = list(zip(*rows))
-        shifts = [min((k for e in col for k in e._coeff), default=0) for col in columns]
+        scaled, divisor = [], 1
+        for row in rows:
+            scale = lcm(*(e._denominator() for e in row))
+            divisor *= scale
+            scaled.append([
+                e._coeff if scale == 1 else {k: _scaled(c, scale) for k, c in e._coeff.items()}
+                for e in row
+            ])
+        columns = list(zip(*scaled))
+        shifts = [min((k for e in col for k in e), default=0) for col in columns]
         bound = 1
         for col in columns:
-            bound *= max(1, sum(sum(map(abs, e._coeff.values())) ** 2 for e in col))
+            bound *= max(1, sum(sum(map(abs, e.values())) ** 2 for e in col))
         width = (isqrt(bound) + 1).bit_length() + 1
-        table = [[sum(c << width * (k - s) for k, c in e._coeff.items())
-                  for e, s in zip(row, shifts)] for row in rows]
+        table = [[sum(c << width * (k - s) for k, c in e.items())
+                  for e, s in zip(row, shifts)] for row in scaled]
         zero = 0
     memo = {}
     live = tuple(range(len(rows)))
@@ -273,7 +280,7 @@ def _cofactor_minors(rows, orders):
     for order in map(tuple, orders):
         value = _minor(table, memo, zero, live, order)
         if exact:
-            value = _unpack(value, width, sum(shifts[c] for c in order))
+            value = _unpack(value, width, sum(shifts[c] for c in order), divisor)
         out.append(value)
     return out
 
@@ -301,8 +308,9 @@ def _minor(table, memo, zero, live, cols):
     return total
 
 
-def _unpack(value, width, shift):
-    """sum_i d_i t^(shift + i) over the balanced base-2^width digits d_i of value."""
+def _unpack(value, width, shift, divisor):
+    """sum_i (d_i / divisor) t^(shift + i) over the balanced base-2^width
+    digits d_i of value."""
     mask, half = (1 << width) - 1, 1 << (width - 1)
     terms, k = {}, shift
     while value:
@@ -310,10 +318,10 @@ def _unpack(value, width, shift):
         if digit >= half:
             digit -= mask + 1
         if digit:
-            terms[k] = digit
+            terms[k] = digit if divisor == 1 else Fraction(digit, divisor)
         value = (value - digit) >> width
         k += 1
-    return LaurentElement._adopt(terms, None)
+    return LaurentElement._adopt(terms, None, 1 if divisor == 1 else None)
 
 
 def oper_to_connection(chi):

@@ -14,7 +14,12 @@ compares greater than every integer.
 
 Products and sums of products go through ``LaurentElement.dot``, one fused
 multiply-accumulate that holds the product-precision rule; ``*`` is its
-one-pair case.
+one-pair case.  Each element caches the common denominator of its
+coefficients, computed once (1 on the paths that produce ints).  All-int
+operands multiply in ints; otherwise every factor is scaled to ints by its
+own denominator, every product accumulates in one int table over the common
+denominator D of the sum, and each surviving coefficient is the one Fraction
+T_k / D.
 
 Series division ``a.divide(d, order)`` is ``a * d.invert(order)`` computed
 by a fraction-free recurrence in ints, one Fraction per quotient
@@ -113,7 +118,7 @@ class LaurentElement:
     ``precision`` is set, no stored exponent reaches it.
     """
 
-    __slots__ = ("_coeff", "precision")
+    __slots__ = ("_coeff", "precision", "_den")
 
     def __init__(self, coeff=None, precision=None):
         table = {}
@@ -124,14 +129,27 @@ class LaurentElement:
                 table[k] = table.get(k, 0) + canonical(c)
         self._coeff = _normal(table, precision)
         self.precision = precision
+        self._den = None
 
     @classmethod
-    def _adopt(cls, table, precision):
-        """An element of the terms of ``table``, whose values are int or Fraction."""
+    def _adopt(cls, table, precision, den=None):
+        """An element of the terms of ``table``, whose values are int or Fraction.
+
+        ``den`` is the common denominator of the values when the caller
+        knows it (1 for an int table), else None.
+        """
         obj = cls.__new__(cls)
         obj._coeff = _normal(table, precision)
         obj.precision = precision
+        obj._den = den
         return obj
+
+    def _denominator(self):
+        """The lcm of the coefficients' denominators, computed once."""
+        den = self._den
+        if den is None:
+            den = self._den = lcm(*(c.denominator for c in self._coeff.values()))
+        return den
 
     # -- constructors ------------------------------------------------------
 
@@ -195,7 +213,7 @@ class LaurentElement:
         return self._adopt(table, prec)
 
     def __neg__(self):
-        return self._adopt({k: -c for k, c in self._coeff.items()}, self.precision)
+        return self._adopt({k: -c for k, c in self._coeff.items()}, self.precision, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentElement):
@@ -225,8 +243,16 @@ class LaurentElement:
         determined below the least precision of its terms, so every product
         is needed only below the least precision of ``start`` and all the
         products, and all of them accumulate into one table.
+
+        With d(x) the cached common denominator of x, the table is over
+        D = lcm(d(start), d(a1) d(b1), d(a2) d(b2), ...): a and b are
+        scaled to ints by d(a) and d(b), their product enters times
+        D / (d(a) d(b)), and ``start`` enters scaled by D.  Each surviving
+        coefficient is then the one Fraction T_k / D.  D = 1 is the
+        all-int case, which multiplies the coefficients as they are.
         """
         prec = None if start is None else start.precision
+        den = 1 if start is None else start._denominator()
         factors = []
         for a, b in pairs:
             if a.is_zero() or b.is_zero():
@@ -235,23 +261,45 @@ class LaurentElement:
                 prec = _min_prec(prec, a._lower_bound() + b.precision)
             if a.precision is not None:
                 prec = _min_prec(prec, b._lower_bound() + a.precision)
-            factors.append((a._coeff.items(), b._coeff.items()))
-        table = {} if start is None else dict(start._coeff)
+            da = a._den or a._denominator()
+            db = b._den or b._denominator()
+            if da != 1 or db != 1:
+                den = lcm(den, da * db)
+            factors.append((a._coeff.items(), da, b._coeff.items(), db))
+        if den == 1:
+            table = {} if start is None else dict(start._coeff)
+        else:
+            table = {} if start is None else {
+                k: _scaled(c, den) for k, c in start._coeff.items()
+            }
+            factors = [
+                ([(k, _scaled(c, da)) for k, c in left], da,
+                 [(k, _scaled(c, db) * (den // (da * db))) for k, c in right], db)
+                for left, da, right, db in factors
+            ]
         get = table.get
-        for left, right in factors:
+        for left, _, right, _ in factors:
             for k1, c1 in left:
                 for k2, c2 in right:
                     k = k1 + k2
                     if prec is None or k < prec:
                         table[k] = get(k, 0) + c1 * c2
-        return LaurentElement._adopt(table, prec)
+        if den == 1:
+            return LaurentElement._adopt(table, prec, 1)
+        return LaurentElement._adopt(
+            {k: Fraction(c, den) for k, c in table.items() if c}, prec
+        )
 
     def scale(self, scalar):
         scalar = canonical(scalar)
         if not scalar:
             return LaurentElement.zero()
+        # an int multiple of a known common denominator gives ints
+        integral = type(scalar) is int and self._den and not scalar % self._den
         return self._adopt(
-            {k: c * scalar for k, c in self._coeff.items()}, self.precision
+            {k: c * scalar for k, c in self._coeff.items()},
+            self.precision,
+            1 if integral else None,
         )
 
     # -- calculus ----------------------------------------------------------
@@ -260,7 +308,9 @@ class LaurentElement:
         """Termwise d/dt; the precision bound drops by one."""
         prec = None if self.precision is None else self.precision - 1
         return self._adopt(
-            {k - 1: k * c for k, c in self._coeff.items() if k != 0}, prec
+            {k - 1: k * c for k, c in self._coeff.items() if k != 0},
+            prec,
+            1 if self._den == 1 else None,
         )
 
     def invert(self, order):

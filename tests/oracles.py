@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 
 from critcenter.algebra import Gen
 from critcenter.errors import ValidationError
+from critcenter.laurent import LaurentElement
 from critcenter.lincomb import LinComb, _accumulate, canonical
 from critcenter.modules import RootFunction, RootModule
 from critcenter.pbw import NCPoly
@@ -252,3 +253,25 @@ def commutative_char_poly_coefficients(n):
         )
         for ell in range(1, n + 1)
     ]
+
+
+def laurent_product(a, b):
+    """a * b for LaurentElements by the product-precision rule, schoolbook.
+
+    One Fraction product per pair of terms, summed in a plain dict, so it
+    shares no code with ``LaurentElement.dot`` or ``+``.
+    """
+    if a.is_zero() or b.is_zero():
+        return LaurentElement()
+    bounds = []
+    if b.precision is not None:
+        bounds.append(min(a._coeff, default=a.precision) + b.precision)
+    if a.precision is not None:
+        bounds.append(min(b._coeff, default=b.precision) + a.precision)
+    prec = min(bounds, default=None)
+    table = {}
+    for k1, c1 in a._coeff.items():
+        for k2, c2 in b._coeff.items():
+            if prec is None or k1 + k2 < prec:
+                table[k1 + k2] = table.get(k1 + k2, 0) + Fraction(c1) * c2
+    return LaurentElement(table, prec)

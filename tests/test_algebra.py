@@ -1,6 +1,7 @@
 """Structure constants of the extended loop algebra."""
 
 import copy
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from critcenter.algebra import (
     _B,
@@ -154,6 +156,43 @@ def test_generator_text_is_its_token():
     g = Gen(12, 3, -45)
     assert repr(g) == str(g) == f"{g}" == "{}".format(g) == "e[12,3;-45]"
     assert gen_from_str(f"{g}") is g
+    # a format spec formats the text, not the code
+    assert f"{g:>14}" == "   e[12,3;-45]" and f"{g:<12}|" == "e[12,3;-45] |"
+    assert format(Gen(1, 1, 0), "^10") == " e[1,1;0] "
+    # pretty printers that read an int subclass as a number get the text too
+    assert pretty((g, [Gen(1, 1, 0)])) == "(e[12,3;-45], [e[1,1;0]])"
+
+
+_OPERATORS = (
+    operator.add, operator.sub, operator.mul, operator.truediv, operator.floordiv,
+    operator.mod, divmod, pow, operator.lshift, operator.rshift, operator.and_,
+    operator.or_, operator.xor,
+)
+
+
+@pytest.mark.parametrize("op", _OPERATORS, ids=lambda op: op.__name__)
+def test_generator_arithmetic_raises(op):
+    # the code is a layout, not a number: neither side of an int operator
+    # may read it, and ``1 + g`` must not fall back to int's own operator
+    g, h = Gen(1, 1, 0), Gen(2, 1, -1)
+    for left, right in ((g, 1), (1, g), (g, 0), (0, g), (g, h)):
+        with pytest.raises(TypeError):
+            op(left, right)
+
+
+def test_generator_unary_arithmetic_raises():
+    g = Gen(1, 1, 0)
+    for op in (lambda x: -x, lambda x: +x, abs, lambda x: ~x):
+        with pytest.raises(TypeError):
+            op(g)
+
+
+def test_generator_order_hash_and_pickling_survive_the_refusals():
+    g, h = Gen(1, 1, 0), Gen(2, 1, -1)
+    assert h < g and g > h and sorted([g, h]) == [h, g]
+    assert hash(g) == hash(int.__int__(g)) and {g: 1}[Gen(1, 1, 0)] == 1
+    assert pickle.loads(pickle.dumps(g)) is g and copy.deepcopy(h) is h
+    assert Gen(1, 1, 0) is g
 
 
 @pytest.mark.parametrize(

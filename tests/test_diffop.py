@@ -30,6 +30,7 @@ from critcenter.errors import (
     UndeterminedValuationError,
 )
 from critcenter.laurent import LaurentElement as L
+from oracles import laurent_product
 
 
 def _rand_laurent(rng, lo=-3, hi=3, density=0.6):
@@ -225,6 +226,19 @@ def test_connection_to_oper_not_cyclic_error():
         connection_to_oper(conn, [L.one(), L.zero()])
 
 
+def _assert_resubstitutes(conn, found, chi):
+    """D^n v = a_1 D^(n-1) v + ... + a_n v up to each coefficient's precision."""
+    n = conn.rank
+    images = [list(found.components)]
+    for _ in range(n):
+        images.append(conn.apply(images[-1]))
+    for r in range(n):
+        residual = images[n][r]
+        for ell in range(1, n + 1):
+            residual = residual - chi.a[ell - 1] * images[n - ell][r]
+        assert residual.is_zero_mod_precision()
+
+
 def test_extraction_verified_by_resubstitution():
     rng = random.Random(47)
     for _ in range(12):
@@ -238,15 +252,15 @@ def test_extraction_verified_by_resubstitution():
             found = cyclic_vector_search(conn, 2)
         except CyclicVectorNotFoundError:
             continue
-        chi = connection_to_oper(conn, found)
-        images = [list(found.components)]
-        for _ in range(n):
-            images.append(conn.apply(images[-1]))
-        for r in range(n):
-            residual = images[n][r]
-            for ell in range(1, n + 1):
-                residual = residual - chi.a[ell - 1] * images[n - ell][r]
-            assert residual.is_zero_mod_precision()
+        _assert_resubstitutes(conn, found, connection_to_oper(conn, found))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generic_rank_six_extraction_verified_by_resubstitution(seed):
+    # the benchmark's shape: a_l with denominators of about 1,400 bits
+    conn = _generic_connection(seed, 6)
+    found = cyclic_vector_search(conn)
+    _assert_resubstitutes(conn, found, connection_to_oper(conn, found))
 
 
 def test_same_connection_two_cyclic_vectors_same_irregularity():
@@ -301,7 +315,8 @@ def test_irregularity_same_for_alternative_cyclic_vectors_sampled():
 
 
 def _cofactor_det(matrix):
-    """Reference determinant: unmemoised expansion along the first column."""
+    """Reference determinant: unmemoised expansion along the first column,
+    with schoolbook products."""
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
@@ -313,7 +328,7 @@ def _cofactor_det(matrix):
         cof = _cofactor_det(minor)
         if r % 2:
             cof = -cof
-        total = total + matrix[r][0] * cof
+        total = total + laurent_product(matrix[r][0], cof)
     return total
 
 
@@ -429,6 +444,12 @@ def _oper_orders(n):
     return [range(n)] + [[n if c == idx else c for c in range(n)] for idx in range(n)]
 
 
+def _augmented(images):
+    """connection_to_oper's matrix (W_{n-1}, ..., W_0 | W_n) of n + 1 images."""
+    n = len(images) - 1
+    return [[images[n - 1 - c][r] for c in range(n)] + [images[n][r]] for r in range(n)]
+
+
 def _assert_minors_match_oracle(rows, orders):
     minors = _cofactor_minors(rows, orders)
     assert len(minors) == len(orders)
@@ -438,10 +459,10 @@ def _assert_minors_match_oracle(rows, orders):
 
 
 @st.composite
-def _int_systems(draw):
-    """n x (n+1) int matrices, n = 1..6, with a zero row or column at times."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    rows = [[draw(_int_entries) for _ in range(n + 1)] for _ in range(n)]
+def _systems(draw, entries, max_rank):
+    """n x (n+1) matrices, n = 1..max_rank, with a zero row or column at times."""
+    n = draw(st.integers(min_value=1, max_value=max_rank))
+    rows = [[draw(entries) for _ in range(n + 1)] for _ in range(n)]
     for r in draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=1)):
         rows[r] = [L.zero()] * (n + 1)
     for c in draw(st.sets(st.integers(min_value=0, max_value=n), max_size=1)):
@@ -451,7 +472,7 @@ def _int_systems(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_int_systems())
+@given(_systems(_int_entries, 6))
 def test_packed_minor_table_matches_cofactor_recursion(rows):
     _assert_minors_match_oracle(rows, _oper_orders(len(rows)))
 
@@ -484,6 +505,46 @@ def test_packed_table_one_huge_coefficient():
         ]
         rows[rng.randrange(n)][rng.randrange(n + 1)] = L({-3: -(2**200), 2: 1})
         _assert_minors_match_oracle(rows, _oper_orders(n))
+
+
+# exact rational entries: each row is scaled to ints by its own lcm
+# denominator before packing, and each minor divided by their product
+_rational_entries = st.one_of(
+    st.just(L.zero()),
+    st.builds(
+        L,
+        st.dictionaries(
+            st.integers(min_value=-3, max_value=3),
+            st.one_of(
+                st.integers(min_value=-(2**40), max_value=2**40),
+                st.fractions(min_value=-(2**40), max_value=2**40, max_denominator=2**30),
+            ),
+            min_size=1, max_size=3,
+        ),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_systems(_rational_entries, 5))
+@example([[L({0: Fraction(1, 2)}), L({1: 3})]])
+@example([[L({0: Fraction(1, 2)}), L({1: 3}), L({0: 1})],
+          [L({-1: Fraction(2, 3)}), L({0: Fraction(5, 7), 2: 1}), L({0: Fraction(1, 9)})]])
+def test_packed_rational_minor_table_matches_cofactor_recursion(rows):
+    _assert_minors_match_oracle(rows, _oper_orders(len(rows)))
+
+
+@pytest.mark.parametrize("rank", [3, 6])
+def test_integral_vector_keeps_int_images_and_minors(rank):
+    # the images of an integral vector and the packed minors stay plain
+    # ints with the cached denominator 1, so the extraction never goes
+    # through the rational path of dot or of the table
+    conn = _generic_connection(0, rank)
+    found = cyclic_vector_search(conn)
+    images = conn._images(found.components, rank + 1)
+    minors = _cofactor_minors(_augmented(images), _oper_orders(rank))
+    for x in [w for image in images for w in image] + minors:
+        assert x._den == 1 and all(type(c) is int for c in x._coeff.values())
 
 
 # -- metamorphic irregularity relations ---------------------------------------
@@ -726,9 +787,7 @@ def test_cramer_factor_in_the_division_equals_scaling_the_numerator(rank):
     assert conn.denominator > 1
     found = cyclic_vector_search(conn)
     images = conn._images(found.components, rank + 1)
-    augmented = [[images[rank - 1 - c][r] for c in range(rank)] + [images[rank][r]]
-                 for r in range(rank)]
-    det, *numerators = _cofactor_minors(augmented, _oper_orders(rank))
+    det, *numerators = _cofactor_minors(_augmented(images), _oper_orders(rank))
     order = 4 * rank + 8
     expected = [
         _exact(numerator.scale(Fraction(1, conn.denominator ** (idx + 1))).divide(det, order))
@@ -809,3 +868,29 @@ def test_generic_opers_match_recorded_digests(rank, seed):
     found = cyclic_vector_search(conn)
     chi = connection_to_oper(conn, found)
     assert (_digest(found), _digest(chi)) == _OPER_DIGESTS[rank, seed]
+
+
+# a rational cyclic vector for _generic_connection(0, 5): exact, and each
+# component truncated at O(t^8)
+_RATIONAL_VECTOR = (
+    L({0: Fraction(1, 2), 1: Fraction(2, 3)}),
+    L({-1: Fraction(3, 5)}),
+    L({0: 1, 2: Fraction(-1, 7)}),
+    L({1: Fraction(5, 4)}),
+    L({0: Fraction(1, 3), 3: 1}),
+)
+
+# SHA-256 of the oper's JSON, recorded from the implementation that made
+# one Fraction per term product in dot and ran rational minors in
+# LaurentElement arithmetic
+_RATIONAL_OPER_DIGESTS = {
+    False: "108e4e7c15a0637a2a666fc621d9b383f5af4dbbdaaa9b67f0659d229b19db1b",
+    True: "f221c885131e229a623e109c8c65b86f87b8da8f903c4e9bc9bb362434c5f786",
+}
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_rational_vector_opers_match_recorded_digests(truncated):
+    vector = [e.truncate(8) if truncated else e for e in _RATIONAL_VECTOR]
+    chi = connection_to_oper(_generic_connection(0, 5), vector)
+    assert _digest(chi) == _RATIONAL_OPER_DIGESTS[truncated]

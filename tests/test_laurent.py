@@ -16,6 +16,7 @@ from critcenter.errors import (
     ZeroDivisorError,
 )
 from critcenter.laurent import INFINITY, LaurentElement as L, scalar_from_str
+from oracles import laurent_product
 
 
 def test_mul_polynomial_product():
@@ -430,29 +431,48 @@ def test_a_generator_is_not_a_scalar():
 # -- fused multiply-accumulate ---------------------------------------------
 
 # exact and truncated elements with int or Fraction coefficients, exact
-# zeros and truncated zeros O(t^p)
+# zeros and truncated zeros O(t^p); Fractions whose denominators reach about
+# 2**200, as the extracted opers' do; pairs of an int and a Fraction operand
+big_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.integers(min_value=1, max_value=2**200),
+)
+int_operands = st.builds(
+    L, st.dictionaries(st.integers(min_value=-5, max_value=5),
+                       st.integers(min_value=-(2**70), max_value=2**70), max_size=5),
+    precisions,
+)
+big_operands = st.builds(
+    L, st.dictionaries(st.integers(min_value=-5, max_value=5),
+                       st.one_of(big_fractions, exact_scalars), min_size=1, max_size=5),
+    precisions,
+)
 dot_operands = st.one_of(
     st.builds(L, exact_tables, precisions),
+    big_operands,
     st.just(L.zero()),
     st.builds(L.zero, st.integers(min_value=-4, max_value=8)),
 )
+dot_pairs = st.one_of(
+    st.tuples(dot_operands, dot_operands),
+    st.tuples(int_operands, big_operands),
+    st.tuples(big_operands, int_operands),
+)
 
 
-def _reference_product(a, b):
-    """a * b by the product-precision rule, written out on its own."""
-    if a.is_zero() or b.is_zero():
-        return L.zero()
-    bounds = []
-    if b.precision is not None:
-        bounds.append(min(a._coeff, default=a.precision) + b.precision)
-    if a.precision is not None:
-        bounds.append(min(b._coeff, default=b.precision) + a.precision)
-    prec = min(bounds, default=None)
-    table = {}
-    for k1, c1 in a._coeff.items():
-        for k2, c2 in b._coeff.items():
-            if prec is None or k1 + k2 < prec:
-                table[k1 + k2] = table.get(k1 + k2, 0) + Fraction(c1) * c2
+def _reference_dot(pairs, start):
+    """start + sum a*b: the schoolbook products' tables added in one dict,
+    at the least precision of start and the products."""
+    terms = [laurent_product(a, b) for a, b in pairs]
+    if start is not None:
+        terms.append(start)
+    table, prec = {}, None
+    for x in terms:
+        if x.precision is not None:
+            prec = x.precision if prec is None else min(prec, x.precision)
+        for k, c in x._coeff.items():
+            table[k] = table.get(k, 0) + Fraction(c)
     return L(table, prec)
 
 
@@ -461,20 +481,35 @@ def _exact(element):
     return dict(element._coeff), element.precision
 
 
-@settings(max_examples=200)
-@given(st.lists(st.tuples(dot_operands, dot_operands), max_size=4),
-       st.one_of(st.none(), dot_operands))
+@settings(max_examples=300)
+@given(st.lists(dot_pairs, max_size=4), st.one_of(st.none(), dot_operands))
 @example([], None)
 @example([(L.zero(), L({0: 1}, 2)), (L({1: 3}), L.zero(-1))], L({-1: Fraction(1, 2)}))
+# start's denominator is not that of any product
+@example([(L({0: 2, 1: 3}), L({-1: 5}))], L({0: Fraction(1, 7), 2: Fraction(3, 2)}))
+@example([(L({0: Fraction(1, 2**200 - 1)}), L({0: 2**200 - 1, 3: 1}))], L({0: -1}))
 def test_dot_equals_the_fold_of_sums_and_products(pairs, start):
-    fold = ref = L.zero() if start is None else start
+    fold = L.zero() if start is None else start
     for a, b in pairs:
         fold = fold + a * b
-        ref = ref + _reference_product(a, b)
     result = L.dot(pairs, start)
     _assert_canonical(result)
-    assert _exact(result) == _exact(fold) == _exact(ref)
+    assert _exact(result) == _exact(_reference_dot(pairs, start)) == _exact(fold)
     assert L.dot(iter(pairs), start) == result  # any iterable of pairs
+
+
+def test_int_products_cache_denominator_one():
+    # the int paths record their denominator, so no later product scans them
+    a, b = L({-1: 3, 2: -4}), L({0: 5, 1: 2**80})
+    assert a._den is None and a._denominator() == 1 == a._den
+    for x in (a * b, a.derivative(), a.scale(7), L.dot([(a, b)], a)):
+        assert x._den == 1 and all(type(c) is int for c in x._coeff.values())
+    # scaling by an int multiple of a known denominator gives ints too
+    half = L({0: Fraction(1, 2), 1: 3})
+    assert half.scale(2)._den is None and half.scale(2)._denominator() == 1
+    assert (half * half)._denominator() == 4 and half._den == 2
+    assert half.scale(6)._den == 1 and half.scale(6) == L({0: 3, 1: 18})
+    assert half.scale(3)._den is None and half.scale(3)._denominator() == 2
 
 
 def test_dot_precision_examples():
